@@ -1,7 +1,6 @@
 #include "core/recovery.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -217,14 +216,17 @@ InstanceDelta recovery_failure_delta(const RecoveryTemplate& tmpl,
   return delta;
 }
 
-namespace {
+RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
+                                     const TunnelCatalog& catalog,
+                                     std::span<const Demand> demands,
+                                     std::span<const LinkId> failed_links,
+                                     const BranchBoundOptions& options,
+                                     WarmStart* warm) {
+  const InstanceDelta delta =
+      recovery_failure_delta(tmpl, catalog, demands, failed_links);
+  const Solution sol =
+      solve_milp(apply_delta(tmpl.model, delta), options, warm);
 
-/// Shared extraction for the batched and fallback paths: maps a solution in
-/// template space (g per tunnel, y per demand) to a RecoveryResult.
-RecoveryResult recovery_result_from(const RecoveryTemplate& tmpl,
-                                    const TunnelCatalog& catalog,
-                                    std::span<const Demand> demands,
-                                    const Solution& sol) {
   RecoveryResult result;
   result.solved = sol.status == SolveStatus::kOptimal ||
                   (sol.status == SolveStatus::kIterationLimit &&
@@ -248,33 +250,6 @@ RecoveryResult recovery_result_from(const RecoveryTemplate& tmpl,
   }
   result.profit = total_profit(demands, result.full_profit);
   return result;
-}
-
-/// True when the LP relaxation already sits on an integral y vertex — that
-/// solution is then optimal for the MILP itself (the relaxation bound is
-/// attained), so the batched path can keep it without branch & bound.
-bool relaxation_integral(const RecoveryTemplate& tmpl, const Solution& sol) {
-  if (sol.status != SolveStatus::kOptimal) return false;
-  for (const int y : tmpl.yvar) {
-    const double v = sol.x[static_cast<std::size_t>(y)];
-    if (std::abs(v - std::round(v)) > 1e-6) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links,
-                                     const BranchBoundOptions& options,
-                                     WarmStart* warm) {
-  const InstanceDelta delta =
-      recovery_failure_delta(tmpl, catalog, demands, failed_links);
-  const Model inst = apply_delta(tmpl.model, delta);
-  const Solution sol = solve_milp(inst, options, warm);
-  return recovery_result_from(tmpl, catalog, demands, sol);
 }
 
 RecoveryResult recover_optimal(const Topology& topo,
@@ -441,9 +416,8 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   demands_.assign(demands.begin(), demands.end());
   plans_.clear();  // bases_ survives: it chains rounds (see header)
 
-  // Collect the round's failure sets first: the loaded single links, then
-  // the most probable loaded pairs — so the optimal path can hand the whole
-  // round to the batched backend at once.
+  // The round's failure sets: the loaded single links, then the most
+  // probable loaded pairs.
   const auto usage = link_usage(*topo_, *catalog_, demands, current);
   std::vector<LinkId> loaded;
   std::vector<std::vector<LinkId>> failure_sets;
@@ -471,8 +445,7 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   }
 
   if (!optimal_) {
-    // Algorithm 2 is combinatorial — there is no LP to batch. One greedy
-    // pass per failure set.
+    // Algorithm 2 is combinatorial: one greedy pass per failure set.
     for (const auto& failed : failure_sets) {
       plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_,
                                             failed));
@@ -482,46 +455,15 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   }
 
   // Optimal plans share one build-once template; each failure set is a
-  // bound delta against it (the satellite refactor both paths lean on).
+  // bound delta against it.
   const RecoveryTemplate tmpl =
       build_recovery_template(*topo_, *catalog_, demands_);
-  std::vector<const std::vector<LinkId>*> pending;
-  if (optimal_options_.lp.backend == SolveBackend::kBatched) {
-    // Batch the whole round's LP relaxations through the lockstep backend.
-    // A relaxation that lands on an integral y vertex IS the MILP optimum
-    // (the bound is attained), so those failure sets finish without branch
-    // & bound; fractional roots fall through to the exact MILP below.
-    std::vector<InstanceDelta> deltas;
-    deltas.reserve(failure_sets.size());
-    for (const auto& failed : failure_sets) {
-      deltas.push_back(
-          recovery_failure_delta(tmpl, *catalog_, demands_, failed));
-    }
-    const std::vector<Solution> roots =
-        solve_lp_batch(tmpl.model, deltas, optimal_options_.lp);
-    for (std::size_t i = 0; i < failure_sets.size(); ++i) {
-      if (relaxation_integral(tmpl, roots[i])) {
-        plans_.emplace(failure_sets[i],
-                       recovery_result_from(tmpl, *catalog_, demands_,
-                                            roots[i]));
-      } else {
-        pending.push_back(&failure_sets[i]);
-      }
-    }
-  } else {
-    for (const auto& failed : failure_sets) pending.push_back(&failed);
-  }
-
-  // serial: branch & bound trees are per-failure-set (each set fixes a
-  // different tunnel pattern, and an incumbent from one set proves nothing
-  // about another), so MILP fallbacks cannot share lockstep lanes; the
-  // batched pass above already retired every integral-root set.
-  // cold-start: the *first* round for a failure set has no basis yet; every
-  // later round warm-starts from bases_[failed].
-  for (const std::vector<LinkId>* failed : pending) {
-    plans_.emplace(*failed,
-                   recover_with_template(tmpl, *catalog_, demands_, *failed,
-                                         optimal_options_, &bases_[*failed]));
+  // The first round for a failure set starts cold; every later round
+  // warm-starts from bases_[failed].
+  for (const auto& failed : failure_sets) {
+    plans_.emplace(failed,
+                   recover_with_template(tmpl, *catalog_, demands_, failed,
+                                         optimal_options_, &bases_[failed]));
   }
   record_precompute(plans_.size(), obs::now_us() - t0);
 }

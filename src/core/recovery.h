@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "routing/tunnels.h"
-#include "solver/batch.h"
 #include "solver/branch_bound.h"
+#include "solver/model.h"
 #include "topology/graph.h"
 #include "workload/demand.h"
 
@@ -62,9 +62,9 @@ Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
 /// an InstanceDelta (recovery_failure_delta) that fixes the g of each dead
 /// tunnel to zero; the failed links' capacity rows then only contain fixed
 /// columns and drop out in presolve. The optimum is identical to the
-/// per-failure model build_recovery_model produces — BackupPlanner used to
-/// rebuild that model from scratch for every failure set, and both its
-/// batched and MILP-fallback paths now share this template instead.
+/// per-failure model build_recovery_model produces; BackupPlanner's optimal
+/// path builds the template once per round instead of one model per
+/// failure set.
 struct RecoveryTemplate {
   Model model;
   /// gvar[demand][pair position][tunnel] = variable index.

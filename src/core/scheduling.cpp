@@ -111,8 +111,8 @@ TrafficScheduler::TrafficScheduler(const Topology& topo,
     dp->ranges = {{0, dp->dist.tunnel_count}};
     single_patterns_[static_cast<std::size_t>(k)] = std::move(dp);
   }
-  // Per-(pair, pattern) scenario LPs: one batch per pair over the pool,
-  // batched or serial per cfg_.lp.backend. Feeds the hard-repair screen.
+  // Per-(pair, pattern) scenario LPs, one pair per pool task. Feeds the
+  // hard-repair screen.
   capability_ =
       precompute_pattern_capabilities(topo, catalog, lp_patterns_, cfg_.lp);
 }
@@ -124,13 +124,11 @@ const std::vector<double>& TrafficScheduler::pattern_capability(
 
 std::vector<std::vector<double>> precompute_pattern_capabilities(
     const Topology& topo, const TunnelCatalog& catalog,
-    std::span<const PatternDistribution> dists, const SimplexOptions& lp,
-    BatchStats* stats) {
+    std::span<const PatternDistribution> dists, const SimplexOptions& lp) {
   BATE_ASSERT_MSG(dists.size() == static_cast<std::size_t>(catalog.pair_count()),
                   "capability: distribution set does not match catalog");
   const int pairs = catalog.pair_count();
   std::vector<std::vector<double>> capability(static_cast<std::size_t>(pairs));
-  std::vector<BatchStats> pair_stats(static_cast<std::size_t>(pairs));
   ThreadPool::shared().parallel_for(pairs, [&](int k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     const auto& tunnels = catalog.tunnels(k);
@@ -161,34 +159,26 @@ std::vector<std::vector<double>> precompute_pattern_capabilities(
                           std::max(0.0, topo.link(e).capacity));
     }
 
-    std::vector<PatternMask> masks;
-    std::vector<InstanceDelta> deltas;
     const auto patterns = static_cast<PatternMask>(dist.prob.size());
     for (PatternMask s = 1; s < patterns; ++s) {
       if (dist.prob[s] <= 0.0) continue;
-      masks.push_back(s);
       InstanceDelta delta;
       for (std::size_t t = 0; t < tunnels.size(); ++t) {
         if (!((s >> t) & 1u)) {
           delta.bounds.push_back({static_cast<int>(t), 0.0, 0.0});
         }
       }
-      deltas.push_back(std::move(delta));
-    }
-    const std::vector<Solution> sols =
-        solve_lp_batch(tmpl, deltas, lp, &pair_stats[sk]);
-    for (std::size_t i = 0; i < masks.size(); ++i) {
+      // cold-start: on these <=4-column LPs a warm start from the template
+      // basis was measured no faster; presolve and setup dominate.
+      const Solution sol = solve_lp(apply_delta(tmpl, delta), lp);
       // Each instance maximizes a bounded flow over a nonempty feasible
       // region (zero flow), so non-optimal statuses cannot occur; keep the
       // entry unknown if a solver limit ever produces one anyway.
-      if (sols[i].status == SolveStatus::kOptimal) {
-        cap[masks[i]] = std::max(0.0, sols[i].objective);
+      if (sol.status == SolveStatus::kOptimal) {
+        cap[s] = std::max(0.0, sol.objective);
       }
     }
   });
-  if (stats) {
-    for (const BatchStats& s : pair_stats) stats->merge(s);
-  }
   return capability;
 }
 
@@ -590,10 +580,6 @@ void TrafficScheduler::repair_hard_availability(
 
     BranchBoundOptions bnb;
     bnb.node_limit = 4000;
-    // serial: the per-demand repair MILPs have distinct shapes (each
-    // demand's own pattern set and residual rows), so they cannot share a
-    // batch template; the capability screen above already skips the
-    // provably infeasible ones.
     // cold-start: each demand builds a differently-shaped MILP (its own
     // pattern set), so no basis survives between loop iterations. Nodes
     // inside the solve still warm-start from their parents.

@@ -99,6 +99,25 @@ bool Model::feasible(const std::vector<double>& x, double tol) const {
   return true;
 }
 
+Model apply_delta(const Model& base, const InstanceDelta& delta) {
+  for (const BoundDelta& b : delta.bounds) {
+    if (b.var < 0 || b.var >= base.variable_count()) {
+      throw std::invalid_argument("apply_delta: variable out of range");
+    }
+    // Same contract as add_variable / solve_lp: finite lower bound,
+    // lower <= upper (NaN fails both comparisons and is rejected too).
+    if (!std::isfinite(b.lower) || !(b.lower <= b.upper)) {
+      throw std::invalid_argument("apply_delta: invalid bounds");
+    }
+  }
+  Model out = base;
+  for (const BoundDelta& b : delta.bounds) {
+    out.variable(b.var).lower = b.lower;
+    out.variable(b.var).upper = b.upper;
+  }
+  return out;
+}
+
 const char* to_string(SolveStatus status) {
   switch (status) {
     case SolveStatus::kOptimal: return "optimal";

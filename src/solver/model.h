@@ -93,6 +93,27 @@ class Model {
   std::vector<Constraint> constraints_;
 };
 
+/// Bound edit of one template variable; both bounds are replaced.
+struct BoundDelta {
+  int var = -1;
+  double lower = 0.0;
+  double upper = 0.0;
+};
+
+/// One scenario instance of a template Model: the template with these bound
+/// edits applied. BATE's scenario LPs (one per availability pattern in the
+/// scheduler's capability precompute, one per failure set in
+/// BackupPlanner) all share a template and differ only in which tunnels are
+/// dead — a dead tunnel's flow variable fixed to [0, 0].
+struct InstanceDelta {
+  std::vector<BoundDelta> bounds;
+};
+
+/// Materializes `base` with `delta` applied. Throws std::invalid_argument
+/// on an out-of-range variable index, a non-finite lower bound, or
+/// lower > upper, mirroring Model's own construction contract.
+Model apply_delta(const Model& base, const InstanceDelta& delta);
+
 enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 
 struct Solution {

@@ -3,6 +3,10 @@
 // knapsack-like single-bottleneck instances), and the backup planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/pricing.h"
 #include "core/recovery.h"
 #include "core/scheduling.h"
@@ -193,6 +197,84 @@ TEST(BackupPlanner, PrecomputesPlansForLoadedLinks) {
       EXPECT_EQ(planner.plan(e), nullptr) << "link " << e;
     }
   }
+}
+
+TEST(BackupPlanner, OptimalPlansMatchRecoverOptimal) {
+  // The optimal planner solves every failure set as bound edits on one
+  // recovery template; recover_optimal builds each failure set's model from
+  // scratch. Two rounds over the same demand shape (the second at 12x the
+  // bandwidth, so surviving capacity binds) also cover the per-set root
+  // basis the planner chains from one round into the next.
+  const Topology topo = testbed6();
+  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  std::vector<Demand> demands;
+  for (int i = 0; i < 10; ++i) {
+    demands.push_back(make_demand(i, i % catalog.pair_count(),
+                                  40.0 + 13.0 * (i % 4), 10.0 + i,
+                                  0.2 + 0.15 * (i % 5)));
+  }
+  const auto even_split = [&] {
+    std::vector<Allocation> alloc;
+    for (const Demand& d : demands) {
+      Allocation a;
+      for (const auto& pr : d.pairs) {
+        const auto& tunnels = catalog.tunnels(pr.pair);
+        a.emplace_back(tunnels.size(),
+                       pr.mbps / static_cast<double>(tunnels.size()));
+      }
+      alloc.push_back(std::move(a));
+    }
+    return alloc;
+  };
+
+  BackupPlanner planner(topo, catalog, /*concurrent_pairs=*/4);
+  planner.use_optimal_plans(BranchBoundOptions{});
+  double full_profit = 0.0;
+  for (const Demand& d : demands) full_profit += d.charge;
+  bool lost_profit = false;
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      for (Demand& d : demands) d.pairs[0].mbps *= 12.0;
+    }
+    const auto current = even_split();
+    planner.precompute(demands, current);
+    const auto usage = link_usage(topo, catalog, demands, current);
+    std::vector<LinkId> loaded;
+    for (LinkId e = 0; e < topo.link_count(); ++e) {
+      if (usage[static_cast<std::size_t>(e)] > 1e-9) loaded.push_back(e);
+    }
+    // Every candidate failure set the planner holds an exact plan for:
+    // all loaded singles plus the pairs it chose to plan.
+    std::vector<std::vector<LinkId>> sets;
+    for (const LinkId e : loaded) sets.push_back({e});
+    for (std::size_t a = 0; a < loaded.size(); ++a) {
+      for (std::size_t b = a + 1; b < loaded.size(); ++b) {
+        const std::vector<LinkId> pair = {loaded[a], loaded[b]};
+        const RecoveryResult* p = planner.plan_for(pair);
+        if (p != planner.plan(loaded[a]) && p != planner.plan(loaded[b])) {
+          sets.push_back(pair);
+        }
+      }
+    }
+    ASSERT_EQ(sets.size(), planner.plan_count()) << "round " << round;
+    ASSERT_GT(sets.size(), loaded.size()) << "round " << round;
+    for (const auto& failed : sets) {
+      const RecoveryResult* plan = planner.plan_for(failed);
+      ASSERT_NE(plan, nullptr);
+      const RecoveryResult want =
+          recover_optimal(topo, catalog, demands, failed);
+      ASSERT_TRUE(want.solved);
+      EXPECT_TRUE(plan->solved);
+      EXPECT_LE(std::abs(plan->profit - want.profit) /
+                    std::max(1.0, want.profit),
+                1e-6)
+          << "round " << round << " failed " << failed.front() << "+"
+          << failed.size() - 1;
+      lost_profit |= want.profit < full_profit - 1e-6;
+    }
+  }
+  // Some failure set must actually cost profit, or the check is vacuous.
+  EXPECT_TRUE(lost_profit);
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // Tests for BATE traffic scheduling (Sec 3.3): the Fig 2 motivating example
 // as an acceptance test, capacity/feasibility behaviour, pruning
-// monotonicity, hard-repair, and property checks over random workloads.
+// monotonicity, hard-repair, the per-pattern capability precompute, and
+// property checks over random workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/scheduling.h"
+#include "scenario/pattern.h"
+#include "solver/simplex.h"
 #include "topology/catalog.h"
 #include "topology/generator.h"
 #include "workload/demand_gen.h"
@@ -227,6 +234,69 @@ TEST_P(SchedulingProperty, CapacityAndBandwidthInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingProperty, ::testing::Range(0, 10));
+
+/// Max total flow the up tunnels of `pattern` carry against full link
+/// capacities, from a model holding only those tunnels.
+double max_flow_from_scratch(const Topology& topo,
+                             const std::vector<Tunnel>& tunnels,
+                             PatternMask pattern) {
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  std::vector<int> up;
+  for (std::size_t t = 0; t < tunnels.size(); ++t) {
+    if ((pattern >> t) & 1u) {
+      up.push_back(static_cast<int>(t));
+      m.add_variable(0.0, kInfinity, 1.0);
+    }
+  }
+  for (LinkId e = 0; e < topo.link_count(); ++e) {
+    std::vector<Term> row;
+    for (std::size_t v = 0; v < up.size(); ++v) {
+      if (tunnels[static_cast<std::size_t>(up[v])].uses(e)) {
+        row.push_back({static_cast<int>(v), 1.0});
+      }
+    }
+    if (!row.empty()) {
+      m.add_constraint(std::move(row), Relation::kLessEqual,
+                       topo.link(e).capacity);
+    }
+  }
+  const Solution sol = solve_lp(m);
+  EXPECT_EQ(sol.status, SolveStatus::kOptimal);
+  return sol.objective;
+}
+
+TEST(Scheduling, PatternCapabilitiesMatchFromScratchMaxFlow) {
+  for (const Topology& topo : {testbed6(), b4()}) {
+    const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+    std::vector<PatternDistribution> dists;
+    for (int p = 0; p < catalog.pair_count(); ++p) {
+      dists.push_back(pruned_patterns(topo, catalog.tunnels(p), 3));
+    }
+    const auto cap =
+        precompute_pattern_capabilities(topo, catalog, dists, SimplexOptions{});
+    ASSERT_EQ(cap.size(), dists.size());
+    int solved = 0;
+    for (int p = 0; p < catalog.pair_count(); ++p) {
+      const auto& tunnels = catalog.tunnels(p);
+      const auto& row = cap[static_cast<std::size_t>(p)];
+      const auto& prob = dists[static_cast<std::size_t>(p)].prob;
+      ASSERT_EQ(row.size(), prob.size()) << "pair " << p;
+      EXPECT_EQ(row[0], 0.0) << "pair " << p;
+      for (PatternMask s = 1; s < prob.size(); ++s) {
+        if (prob[s] <= 0.0) {
+          EXPECT_EQ(row[s], -1.0) << "pair " << p << " pattern " << s;
+          continue;
+        }
+        const double want = max_flow_from_scratch(topo, tunnels, s);
+        EXPECT_LE(std::abs(row[s] - want) / std::max(1.0, want), 1e-6)
+            << "pair " << p << " pattern " << s;
+        ++solved;
+      }
+    }
+    EXPECT_GT(solved, 0);
+  }
+}
 
 }  // namespace
 }  // namespace bate

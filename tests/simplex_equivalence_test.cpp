@@ -543,38 +543,6 @@ TEST_P(PresolveEquivalenceRandom, MatchesReferenceWithValidDuals) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolveEquivalenceRandom,
                          ::testing::Range(0, 20));
 
-TEST(PresolveEquivalence, NonDefaultOptionsMatchReference) {
-  // Geometric-mean scaling and LP-mode lower-bound lifting are off by
-  // default (presolve.h explains the measurements); this keeps both code
-  // paths — and their postsolve transfers — under the same equivalence
-  // bar as the default configuration.
-  PresolveOptions popt;
-  popt.scale = true;
-  popt.tighten_lower = true;
-  for (std::uint64_t s = 9600; s < 9660; ++s) {
-    const std::string what =
-        "presolve all-options random_lp seed " + std::to_string(s);
-    const Model model = random_lp(s);
-    const Solution ref = reference_solve(model);
-    const auto pre = presolve_model(model, popt);
-    Solution fast;
-    if (pre.infeasible) {
-      fast.status = SolveStatus::kInfeasible;
-    } else {
-      SimplexOptions off;
-      off.presolve = false;
-      fast = pre.post.expand(model, solve_lp(pre.reduced, off));
-    }
-    ASSERT_EQ(fast.status, ref.status) << what;
-    if (ref.status != SolveStatus::kOptimal) continue;
-    const double denom = std::max(1.0, std::abs(ref.objective));
-    EXPECT_LE(std::abs(fast.objective - ref.objective) / denom, kRelTol)
-        << what;
-    EXPECT_TRUE(model.feasible(fast.x, 1e-6)) << what;
-    expect_strong_duality(model, fast, what);
-  }
-}
-
 TEST(PresolveEquivalence, BuilderModels) {
   const Topology topo = testbed6();
   const auto catalog = TunnelCatalog::build_all_pairs(topo, 3);

@@ -1,10 +1,14 @@
 // Tests for the LP/MILP solver substrate: hand-checked LPs, bound handling,
 // infeasibility/unboundedness detection, randomized cross-checks against
-// brute-force vertex enumeration, and branch & bound vs exhaustive search.
+// brute-force vertex enumeration, branch & bound vs exhaustive search, and
+// template-plus-bound-edit scenario instances vs from-scratch models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "solver/branch_bound.h"
 #include "solver/model.h"
@@ -441,6 +445,207 @@ TEST_P(DualShadowPrice, DualsPredictRhsPerturbation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DualShadowPrice, ::testing::Range(0, 16));
+
+}  // namespace
+}  // namespace bate
+
+namespace bate {
+namespace {
+
+// Scenario instances: a template Model plus bound edits (apply_delta), the
+// shape of the scheduler's capability precompute and BackupPlanner. Each
+// test checks the edited template against an independent oracle — a model
+// built from scratch with the edited bounds and solved by the reference
+// engine, or a hand-derived optimum.
+
+/// A random LP as plain data, so the same instance can be built twice: once
+/// as a template that is then edited, once from scratch with the edits
+/// already folded into the bounds.
+struct LpSpec {
+  bool maximize = false;
+  std::vector<Variable> vars;
+  std::vector<Constraint> rows;
+};
+
+Model build(const LpSpec& spec) {
+  Model m;
+  if (spec.maximize) m.set_sense(Sense::kMaximize);
+  for (const Variable& v : spec.vars) {
+    m.add_variable(v.lower, v.upper, v.objective);
+  }
+  for (const Constraint& c : spec.rows) {
+    m.add_constraint(c.terms, c.relation, c.rhs);
+  }
+  return m;
+}
+
+LpSpec random_spec(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> nvars_d(2, 10);
+  std::uniform_int_distribution<int> nrows_d(1, 12);
+  std::uniform_real_distribution<double> coef_d(-4.0, 4.0);
+  std::uniform_real_distribution<double> unit_d(0.0, 1.0);
+  LpSpec spec;
+  spec.maximize = unit_d(rng) < 0.5;
+  const int n = nvars_d(rng);
+  for (int j = 0; j < n; ++j) {
+    const double lo = unit_d(rng) < 0.3 ? coef_d(rng) * 0.5 : 0.0;
+    double hi = kInfinity;
+    if (unit_d(rng) < 0.6) hi = lo + std::abs(coef_d(rng)) * 3.0;
+    Variable v;
+    v.lower = lo;
+    v.upper = hi;
+    v.objective = coef_d(rng);
+    spec.vars.push_back(v);
+  }
+  const int rows = nrows_d(rng);
+  for (int r = 0; r < rows; ++r) {
+    Constraint c;
+    for (int j = 0; j < n; ++j) {
+      if (unit_d(rng) < 0.5) c.terms.push_back({j, coef_d(rng)});
+    }
+    if (c.terms.empty()) c.terms.push_back({0, 1.0});
+    const double roll = unit_d(rng);
+    c.relation = roll < 0.6    ? Relation::kLessEqual
+                 : roll < 0.85 ? Relation::kGreaterEqual
+                               : Relation::kEqual;
+    c.rhs = coef_d(rng) * 2.0;
+    spec.rows.push_back(std::move(c));
+  }
+  return spec;
+}
+
+/// Random bound edits: fixing a variable to zero (a dead tunnel) or
+/// replacing its box.
+InstanceDelta random_bound_delta(int vars, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit_d(0.0, 1.0);
+  std::uniform_real_distribution<double> coef_d(-4.0, 4.0);
+  InstanceDelta d;
+  for (int j = 0; j < vars; ++j) {
+    const double roll = unit_d(rng);
+    if (roll < 0.2) {
+      d.bounds.push_back({j, 0.0, 0.0});
+    } else if (roll < 0.4) {
+      const double lo = coef_d(rng) * 0.5;
+      const double hi =
+          unit_d(rng) < 0.7 ? lo + std::abs(coef_d(rng)) * 2.0 : kInfinity;
+      d.bounds.push_back({j, lo, hi});
+    }
+  }
+  return d;
+}
+
+class BoundEditRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(BoundEditRandom, MatchesFromScratchReference) {
+  // 10 templates x 8 edited instances per shard, 20 shards.
+  SimplexOptions ref;
+  ref.reference_mode = true;
+  for (int k = 0; k < 10; ++k) {
+    const std::uint64_t seed = 77000u +
+                               static_cast<std::uint64_t>(GetParam()) * 10u +
+                               static_cast<std::uint64_t>(k);
+    std::mt19937_64 rng(seed);
+    const LpSpec spec = random_spec(rng);
+    const Model tmpl = build(spec);
+    for (int i = 0; i < 8; ++i) {
+      const InstanceDelta delta =
+          random_bound_delta(static_cast<int>(spec.vars.size()), rng);
+      LpSpec edited = spec;
+      for (const BoundDelta& b : delta.bounds) {
+        edited.vars[static_cast<std::size_t>(b.var)].lower = b.lower;
+        edited.vars[static_cast<std::size_t>(b.var)].upper = b.upper;
+      }
+      const Solution want = solve_lp(build(edited), ref);
+      const Solution got = solve_lp(apply_delta(tmpl, delta));
+      ASSERT_EQ(got.status, want.status)
+          << "seed " << seed << " instance " << i;
+      if (want.status != SolveStatus::kOptimal) continue;
+      const double denom = std::max(1.0, std::abs(want.objective));
+      EXPECT_LE(std::abs(got.objective - want.objective) / denom, 1e-6)
+          << "seed " << seed << " instance " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BoundEditRandom, ::testing::Range(0, 20));
+
+TEST(InstanceDelta, MixedVerdictsMatchFromScratch) {
+  // max x0 + x1  s.t.  x0 + x1 <= 4,  x0, x1 in [0, 3].
+  Model tmpl;
+  tmpl.set_sense(Sense::kMaximize);
+  tmpl.add_variable(0.0, 3.0, 1.0);
+  tmpl.add_variable(0.0, 3.0, 1.0);
+  tmpl.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 4.0);
+
+  struct Case {
+    InstanceDelta delta;
+    SolveStatus status;
+    double objective;
+  };
+  const std::vector<Case> cases = {
+      {{}, SolveStatus::kOptimal, 4.0},
+      // Both pinned at 3 but the row caps the sum at 4.
+      {{{{0, 3.0, 3.0}, {1, 3.0, 3.0}}}, SolveStatus::kInfeasible, 0.0},
+      // x0 dead: x1 alone carries its box.
+      {{{{0, 0.0, 0.0}}}, SolveStatus::kOptimal, 3.0},
+      // Both dead.
+      {{{{0, 0.0, 0.0}, {1, 0.0, 0.0}}}, SolveStatus::kOptimal, 0.0},
+      // x1 pinned at 2.5: the row still binds.
+      {{{{1, 2.5, 2.5}}}, SolveStatus::kOptimal, 4.0},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Solution sol = solve_lp(apply_delta(tmpl, cases[i].delta));
+    ASSERT_EQ(sol.status, cases[i].status) << "case " << i;
+    if (sol.optimal()) {
+      EXPECT_NEAR(sol.objective, cases[i].objective, 1e-9) << "case " << i;
+    }
+  }
+}
+
+TEST(InstanceDelta, UnboundedTemplateCappedByBoundEdit) {
+  // max x0 with x0 free above: the template is unbounded; an edit that
+  // caps x0 at 7 makes the instance optimal at 7 and leaves the template
+  // itself untouched.
+  Model tmpl;
+  tmpl.set_sense(Sense::kMaximize);
+  tmpl.add_variable(0.0, kInfinity, 1.0);
+  tmpl.add_variable(0.0, 5.0, 0.0);
+  tmpl.add_constraint({{1, 1.0}}, Relation::kLessEqual, 5.0);
+
+  InstanceDelta cap;
+  cap.bounds = {{0, 0.0, 7.0}};
+  const Solution capped = solve_lp(apply_delta(tmpl, cap));
+  ASSERT_EQ(capped.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(capped.objective, 7.0, 1e-9);
+  EXPECT_EQ(solve_lp(tmpl).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(tmpl.variable(0).upper, kInfinity);
+}
+
+TEST(InstanceDelta, ApplyDeltaValidatesBounds) {
+  Model tmpl;
+  tmpl.add_variable(0.0, 1.0, 1.0);
+  tmpl.add_constraint({{0, 1.0}}, Relation::kLessEqual, 1.0);
+
+  const auto rejects = [&](BoundDelta b) {
+    InstanceDelta d;
+    d.bounds = {b};
+    EXPECT_THROW(apply_delta(tmpl, d), std::invalid_argument)
+        << "var " << b.var << " [" << b.lower << ", " << b.upper << "]";
+  };
+  rejects({3, 0.0, 1.0});   // out of range
+  rejects({-1, 0.0, 1.0});  // out of range
+  rejects({0, 2.0, 1.0});   // crossed
+  rejects({0, std::nan(""), 1.0});
+  rejects({0, -kInfinity, 1.0});
+
+  InstanceDelta ok;
+  ok.bounds = {{0, 0.25, 0.5}};
+  const Model edited = apply_delta(tmpl, ok);
+  EXPECT_EQ(edited.variable(0).lower, 0.25);
+  EXPECT_EQ(edited.variable(0).upper, 0.5);
+  EXPECT_EQ(tmpl.variable(0).lower, 0.0);
+  EXPECT_EQ(tmpl.variable(0).upper, 1.0);
+}
 
 }  // namespace
 }  // namespace bate

@@ -21,9 +21,7 @@
 // one representative solve, in the metrics JSON exposition; v4 (cuts PR)
 // added the MILP optimality metrics (proven_optimal, mip_gap, dual_pivots,
 // gomory_cuts, cover_cuts, cut_rounds, strong_branch_solves) to the milp
-// bench; the batched-backend PR added the solver bench's batch_* cases
-// (serial_median_ms, batch_median_ms, speedup_vs_serial, fallback_pct and
-// the lockstep iteration counters) under the same v4 container; v5
+// bench; v5
 // (admission pipeline PR) added the system bench (BENCH_system.json:
 // admissions_per_sec, p50/p99_reply_us, shed, speedup_vs_serial) and the
 // check_bench_max ceiling gate for lower-is-better metrics; v6 (SLO
@@ -107,11 +105,11 @@ struct BenchMinResult {
 };
 
 /// Gates a single report: every case carrying `metric` must be >= `floor`.
-/// The dual of compare_bench_json for higher-is-BETTER metrics — the batch
-/// cases' `speedup_vs_serial` measures its serial baseline inside the same
+/// The dual of compare_bench_json for higher-is-BETTER metrics — the system
+/// bench's `speedup_vs_serial` measures its serial baseline inside the same
 /// run, so there is no old/new pair to diff and the gate is an absolute
 /// floor (the CI bench-smoke leg uses a floor well under the committed
-/// steady-state speedup to absorb single-rep noise).
+/// steady-state value to absorb single-rep noise).
 BenchMinResult check_bench_min(const std::string& path,
                                const std::string& metric, double floor);
 
