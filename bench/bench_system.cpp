@@ -13,12 +13,13 @@
 //    cost stays O(arrival)). Reports sustained admissions/sec and the
 //    controller-side p50/p99 reply latency from the obs registry histogram
 //    (bate_admission_reply_latency_us).
-//  * serial — the pre-pipeline baseline: batch_admission=false, so every
-//    SubmitDemand is admitted inline with its own scheduling round and full
-//    broadcast. Run on far fewer arrivals (the per-request round grows with
-//    the admitted set); its throughput is reported as
-//    serial_admissions_per_sec so the CI floor on admissions_per_sec gates
-//    only the pipeline case.
+//  * serial — the one-solve-per-request baseline, through the same pipeline:
+//    one tenant with a client window of 1 and reschedule_after_batch /
+//    precompute_backup on, so every tick drains exactly one request and
+//    pays its own scheduling round, backup precompute and full broadcast.
+//    Run on far fewer arrivals (the per-request round grows with the
+//    admitted set); its throughput is reported as serial_admissions_per_sec
+//    so the CI floor on admissions_per_sec gates only the pipeline case.
 //
 // The batched case's speedup_vs_serial divides the two rates; ISSUE 9
 // acceptance pins it >= 5x and admissions/sec >= 50k at the committed
@@ -98,20 +99,22 @@ struct CaseResult {
 };
 
 /// One full controller+brokers lifecycle over `arrivals` demands spread
-/// across `clients` tenant connections. The registry is reset before the
+/// across `clients` tenant connections, each pipelining up to `window`
+/// submits. `reschedule` and `precompute` set the controller's post-batch
+/// scheduling round and backup precompute. The registry is reset before the
 /// run so the reply-latency histogram holds exactly this case's samples.
 CaseResult run_case(const Topology& topo, const TunnelCatalog& catalog,
-                    int arrivals, int clients, bool batch) {
+                    int arrivals, int clients, std::size_t window,
+                    bool reschedule, bool precompute) {
   // Scoped so this case neither sees earlier cases' histogram samples nor
   // leaks its own into the slo case's coverage check.
   const obs::ScopedRegistryReset reset_registry;
 
   ControllerConfig cfg;
   cfg.tick_ms = 1;
-  cfg.batch_admission = batch;
   cfg.max_queue = 1 << 15;
-  cfg.reschedule_after_batch = false;
-  cfg.precompute_backup = false;
+  cfg.reschedule_after_batch = reschedule;
+  cfg.precompute_backup = precompute;
   Controller controller(topo, catalog, SchedulerConfig{},
                         AdmissionStrategy::kBate, cfg);
   controller.start();
@@ -138,7 +141,7 @@ CaseResult run_case(const Topology& topo, const TunnelCatalog& catalog,
     workers.emplace_back([&, c] {
       UserClient user(controller.port(), /*tenant=*/100 + c);
       const auto replies = user.submit_many(slices[static_cast<std::size_t>(c)],
-                                            kWindow);
+                                            window);
       for (const auto& r : replies) {
         switch (r.status) {
           case AdmissionStatus::kAdmitted:
@@ -197,7 +200,6 @@ Demand slo_demand(int i, int pair_count) {
 ControllerConfig slo_controller_config() {
   ControllerConfig cfg;
   cfg.tick_ms = 1;
-  cfg.batch_admission = true;
   cfg.max_queue = 1 << 15;
   cfg.reschedule_after_batch = false;
   // Fast sampling so even the short chaos run lands ring-buffer points for
@@ -487,7 +489,8 @@ int main(int argc, char** argv) {
   CaseResult batched;
   double best_rate = -1.0;
   for (int r = 0; r < reps; ++r) {
-    const CaseResult cur = run_case(topo, catalog, arrivals, kClients, true);
+    const CaseResult cur = run_case(topo, catalog, arrivals, kClients, kWindow,
+                                    /*reschedule=*/false, /*precompute=*/false);
     const double rate =
         cur.elapsed_s > 0.0 ? cur.admitted / cur.elapsed_s : 0.0;
     if (rate > best_rate) {
@@ -496,7 +499,8 @@ int main(int argc, char** argv) {
     }
   }
   const CaseResult serial =
-      run_case(topo, catalog, serial_arrivals, 1, false);
+      run_case(topo, catalog, serial_arrivals, /*clients=*/1, /*window=*/1,
+               /*reschedule=*/true, /*precompute=*/true);
   const SloCaseResult slo = run_slo_case(topo, catalog, slo_arrivals);
   if (!slo.ok) {
     std::fprintf(stderr, "bench_system: slo case FAILED: %s\n",

@@ -287,9 +287,18 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     purge_queue_for_demand(withdraw->id);
     const std::int64_t now = obs::now_us();
     ledger_.withdraw(withdraw->id, now);
+    std::optional<Demand> gone;
+    for (const Demand& d : admission_.admitted()) {
+      if (d.id == withdraw->id) gone = d;
+    }
     admission_.remove(withdraw->id);
     run_scheduling_round();
     broadcast_allocations(false, nullptr);
+    if (gone) {
+      // Empty rows tell every broker to drop the withdrawn demand's rows.
+      const Allocation empty(gone->pairs.size());
+      broadcast_rows(false, {&*gone, 1}, {&empty, 1});
+    }
     refresh_slo(obs::now_us());
     return;
   }
@@ -357,11 +366,6 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
       return;
     }
   }
-  if (!config_.batch_admission) {
-    obs::ScopedTraceContext adopt(trace);
-    admit_inline(peer, submit, now);
-    return;
-  }
   if (queued_ >= config_.max_queue) {
     shed(peer, rid, submit.demand.id, static_cast<double>(config_.tick_ms));
     return;
@@ -371,29 +375,6 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
       peer.socket.fd(), rid, submit.demand, now, tenant_of(peer), trace});
   ++queued_;
   if (obs::enabled()) m.queue_depth.set(static_cast<double>(queued_));
-}
-
-void Controller::admit_inline(Peer& peer, const SubmitDemandMsg& submit,
-                              std::int64_t recv_us) {
-  obs::Span span("controller.admit_inline");
-  const AdmissionOutcome outcome = admission_.offer(submit.demand);
-  auto& m = ControllerMetrics::get();
-  m.offered.inc();
-  if (outcome.admitted) m.admitted.inc();
-  send_to(peer, AdmissionReplyMsg{submit.request_id, submit.demand.id,
-                                  outcome.admitted ? AdmissionStatus::kAdmitted
-                                                   : AdmissionStatus::kRejected,
-                                  0.0});
-  if (obs::enabled()) m.reply_latency_us.record(obs::now_us() - recv_us);
-  if (outcome.admitted) {
-    const std::int64_t now = obs::now_us();
-    ledger_.admit(submit.demand.id, tenant_of(peer),
-                  submit.demand.availability_target, now);
-    ledger_.allocate(submit.demand.id, now);
-    run_scheduling_round();
-    broadcast_allocations(false, nullptr);
-    refresh_slo(obs::now_us());
-  }
 }
 
 void Controller::drain_admission_queue() {
@@ -524,26 +505,29 @@ int Controller::send_allocations_to(Peer& peer, bool backup,
   return sent;
 }
 
-void Controller::broadcast_new_allocations(std::size_t first_new) {
-  const auto& demands = admission_.admitted();
-  const auto& allocs = admission_.allocations();
-  if (first_new >= demands.size()) return;
+void Controller::broadcast_rows(bool backup, std::span<const Demand> demands,
+                                std::span<const Allocation> allocs) {
   obs::Span span("controller.broadcast");
   const obs::SpanContext sc = span.context();
   const FrameContext trace{sc.trace_id, sc.span_id};
   const std::int64_t t0 = obs::now_us();
-  const std::span<const Demand> tail(demands.data() + first_new,
-                                     demands.size() - first_new);
-  const std::span<const Allocation> tail_allocs(allocs.data() + first_new,
-                                                allocs.size() - first_new);
   int sent = 0;
   for (auto& [fd, peer] : peers_) {
     if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, false, tail, tail_allocs, trace);
+    sent += send_allocations_to(peer, backup, demands, allocs, trace);
   }
   auto& m = ControllerMetrics::get();
   m.updates.inc(sent);
   if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
+}
+
+void Controller::broadcast_new_allocations(std::size_t first_new) {
+  const auto& demands = admission_.admitted();
+  const auto& allocs = admission_.allocations();
+  if (first_new >= demands.size()) return;
+  broadcast_rows(false,
+                 std::span<const Demand>(demands).subspan(first_new),
+                 std::span<const Allocation>(allocs).subspan(first_new));
 }
 
 void Controller::send_allocation_snapshot(Peer& peer) {
@@ -554,23 +538,10 @@ void Controller::send_allocation_snapshot(Peer& peer) {
 
 void Controller::broadcast_allocations(bool backup,
                                        const RecoveryResult* plan) {
-  obs::Span span("controller.broadcast");
-  const obs::SpanContext sc = span.context();
-  const FrameContext trace{sc.trace_id, sc.span_id};
-  const std::int64_t t0 = obs::now_us();
-  const auto& demands =
-      (backup && plan != nullptr) ? planner_.demands() : admission_.admitted();
-  const auto& allocs = (backup && plan != nullptr)
-                           ? plan->alloc
-                           : admission_.allocations();
-  int sent = 0;
-  for (auto& [fd, peer] : peers_) {
-    if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, backup, demands, allocs, trace);
-  }
-  auto& m = ControllerMetrics::get();
-  m.updates.inc(sent);
-  if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
+  const bool use_plan = backup && plan != nullptr;
+  broadcast_rows(backup,
+                 use_plan ? planner_.demands() : admission_.admitted(),
+                 use_plan ? plan->alloc : admission_.allocations());
 }
 
 void Controller::refresh_slo(std::int64_t now_us) {

@@ -17,10 +17,7 @@
 //
 // Threading: the controller deliberately owns NO locks — all of its state
 // is confined to the event-loop thread (cross-thread mutation goes through
-// EventLoop's pending queue). When replication (ROADMAP item 4) adds
-// controller-side shared state, its mutexes must be bate::Mutex with
-// LockRank::kController — the top of the hierarchy in util/mutex.h, since
-// controller paths call into every layer below (DESIGN.md Sec 8.5).
+// EventLoop's pending queue).
 #pragma once
 
 #include <cstdint>
@@ -58,18 +55,16 @@ struct ControllerStats {
   int allocation_updates_sent = 0;
 };
 
-/// Admission-pipeline tuning (DESIGN.md Sec 10). Defaults keep the
-/// low-latency behaviour the tests and demos expect; bench_system raises
-/// the knobs for the 100k-arrival churn runs.
+/// Admission-pipeline tuning (DESIGN.md Sec 10). Every SubmitDemand goes
+/// through the queue and the tick drain; these knobs only size the queue and
+/// pick the post-batch work. Defaults keep the low-latency behaviour the
+/// tests and demos expect; bench_system raises the knobs for the
+/// 100k-arrival churn runs.
 struct ControllerConfig {
   /// Event-loop poll timeout; the admission queue drains after every loop
   /// iteration, so this bounds reply latency only on an idle connection.
   /// Also the retry_after hint handed to shed requests.
   int tick_ms = 5;
-  /// false = serial baseline: each SubmitDemand is admitted inline with its
-  /// own solve and full broadcast (the pre-pipeline behaviour, benched as
-  /// the one-solve-per-request baseline in bench_system).
-  bool batch_admission = true;
   /// Bounded admission queue across all tenants; overflow is shed with
   /// AdmissionStatus::kShed + retry_after.
   std::size_t max_queue = 8192;
@@ -144,13 +139,10 @@ class Controller {
   void on_peer_readable(int fd);
   void handle_message(Peer& peer, const Message& msg,
                       const obs::SpanContext& trace = {});
-  /// SubmitDemand ingress: duplicate check, tenant rate limit, then either
-  /// enqueue (batch mode) or admit inline (serial baseline).
+  /// SubmitDemand ingress: duplicate check, tenant rate limit, bounded
+  /// queue, then enqueue for the tick drain.
   void on_submit(Peer& peer, const SubmitDemandMsg& submit,
                  const obs::SpanContext& trace);
-  /// Serial-baseline admission: one solve + full broadcast per request.
-  void admit_inline(Peer& peer, const SubmitDemandMsg& submit,
-                    std::int64_t recv_us);
   /// Tick handler: drains the whole admission queue through
   /// AdmissionController::offer_batch and flushes per-peer reply batches.
   void drain_admission_queue();
@@ -179,6 +171,10 @@ class Controller {
   /// Delta broadcast: only admitted()[first_new..] rows, after a batch that
   /// appended greedy admissions without rescheduling anyone else.
   void broadcast_new_allocations(std::size_t first_new);
+  /// Sends `demands`' rows to every broker under one controller.broadcast
+  /// span; an empty row removes it at the broker.
+  void broadcast_rows(bool backup, std::span<const Demand> demands,
+                      std::span<const Allocation> allocs);
   void run_scheduling_round();
 
   /// Re-derives every admitted demand's satisfied bit from the active

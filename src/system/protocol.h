@@ -59,6 +59,7 @@ struct AdmissionReplyMsg {
 
 /// One (demand, pair) row of the bandwidth-enforcement table: rates per
 /// tunnel in Mbps. `backup` marks rows coming from an activated backup plan.
+/// An empty `tunnel_mbps` removes the row (the demand was withdrawn).
 struct AllocationUpdateMsg {
   DemandId id = -1;
   int pair = -1;

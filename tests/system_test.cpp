@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -195,6 +196,36 @@ TEST_F(SystemFixture, WithdrawFreesCapacity) {
     UserClient probe(controller->port());
     return probe.submit(make_demand(5, 0, 900.0, 0.0));
   }));
+}
+
+TEST_F(SystemFixture, WithdrawRemovesRowsAtEveryBroker) {
+  std::array<std::unique_ptr<Broker>, 2> brokers;
+  for (int dc = 0; dc < 2; ++dc) {
+    brokers[dc] = std::make_unique<Broker>(dc, controller->port());
+    brokers[dc]->start();
+  }
+  UserClient user(controller->port());
+  Demand gone = make_demand(1, 0, 200.0, 0.0);
+  gone.pairs.push_back({1, 150.0});
+  ASSERT_TRUE(user.submit(gone));
+  ASSERT_TRUE(user.submit(make_demand(2, 2, 100.0, 0.0)));
+  for (const auto& b : brokers) {
+    ASSERT_TRUE(wait_for_broker(*b, [&] {
+      return b->enforced_total(1, 0) > 0.0 && b->enforced_total(1, 1) > 0.0 &&
+             b->enforced_total(2, 2) > 0.0;
+    }));
+  }
+
+  user.withdraw(1);
+  for (const auto& b : brokers) {
+    EXPECT_TRUE(wait_for_broker(*b, [&] {
+      return b->enforced_rates(1, 0).empty() && b->enforced_rates(1, 1).empty();
+    }));
+    // The enforcer drops the row too: no rule, no service.
+    EXPECT_EQ(b->shape(1, 0, 0, 10.0), 0.0);
+    EXPECT_GT(b->enforced_total(2, 2), 0.0);
+    b->stop();
+  }
 }
 
 TEST_F(SystemFixture, LinkFailureActivatesBackup) {

@@ -122,12 +122,13 @@ for leg in "${legs[@]}"; do
       "build/dev/bench/bench_system" --arrivals 20000 --serial-arrivals 100 \
         --out "$smoke_json"
       "build/dev/bench/bench_system" --validate "$smoke_json"
-      # Absolute gates: the committed BENCH_system.json records ~53k
+      # Absolute gates: the committed BENCH_system.json records ~120k
       # admissions/sec at 100k arrivals with a p99 of a few ms; the smoke
       # floors/ceilings leave a wide margin for a loaded CI box while still
-      # failing if the pipeline degenerates to per-request behaviour
-      # (serial inline runs at a few hundred admissions/sec, 1-2 orders
-      # below the floor).
+      # failing if the pipeline degenerates to per-request behaviour (the
+      # serial baseline case, one request per tick with its own scheduling
+      # round, precompute and full broadcast, runs at a few hundred
+      # admissions/sec, 1-2 orders below the floor).
       "build/dev/tools/bench_report" --min "$smoke_json" \
         --metric admissions_per_sec --floor 10000
       "build/dev/tools/bench_report" --min "$smoke_json" \
