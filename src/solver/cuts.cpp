@@ -11,6 +11,14 @@ namespace bate {
 
 namespace {
 
+/// Gomory source rows need frac(x_B) in [kMinFraction, 1 - kMinFraction];
+/// nearly-integral rows produce numerically poor cuts.
+constexpr double kMinFraction = 5e-3;
+/// Reject cuts whose |coef| dynamic range exceeds this (ill-conditioned).
+constexpr double kMaxDynamism = 1e7;
+/// Cap per separation call (most-violated first).
+constexpr int kMaxCutsPerCall = 32;
+
 std::size_t sz(int i) { return static_cast<std::size_t>(i); }
 
 /// Dense LU with partial pivoting of the m x m basis matrix, used once per
@@ -84,8 +92,7 @@ double frac(double v) { return v - std::floor(v); }
 /// dropped term c*x_j is bounded by its worst feasible value, so the cut
 /// only weakens), rejects ill-conditioned rows, and scores the violation.
 bool finalize_ge_cut(const Model& model, const std::vector<double>& coef,
-                     double rhs, const std::vector<double>& x,
-                     const CutOptions& opt, Cut* out) {
+                     double rhs, const std::vector<double>& x, Cut* out) {
   const int n = model.variable_count();
   std::vector<Term> terms;
   double max_c = 0.0, min_c = kInfinity;
@@ -103,7 +110,7 @@ bool finalize_ge_cut(const Model& model, const std::vector<double>& coef,
     max_c = std::max(max_c, std::abs(c));
     min_c = std::min(min_c, std::abs(c));
   }
-  if (terms.empty() || max_c / min_c > opt.max_dynamism) return false;
+  if (terms.empty() || max_c / min_c > kMaxDynamism) return false;
   if (!std::isfinite(rhs)) return false;
   double norm = 0.0, act = 0.0;
   for (const Term& t : terms) {
@@ -112,7 +119,7 @@ bool finalize_ge_cut(const Model& model, const std::vector<double>& coef,
   }
   norm = std::sqrt(norm);
   const double violation = (rhs - act) / norm;
-  if (violation < opt.min_violation) return false;
+  if (violation < kMinCutViolation) return false;
   out->terms = std::move(terms);
   out->relation = Relation::kGreaterEqual;
   out->rhs = rhs;
@@ -121,22 +128,21 @@ bool finalize_ge_cut(const Model& model, const std::vector<double>& coef,
 }
 
 /// Deterministic most-violated-first order with a structural tie-break.
-void sort_and_cap(std::vector<Cut>* cuts, int max_cuts) {
+void sort_and_cap(std::vector<Cut>* cuts) {
   std::sort(cuts->begin(), cuts->end(), [](const Cut& a, const Cut& b) {
     if (a.violation != b.violation) return a.violation > b.violation;
     if (a.terms.size() != b.terms.size()) return a.terms.size() < b.terms.size();
     return a.terms.front().var < b.terms.front().var;
   });
-  if (static_cast<int>(cuts->size()) > max_cuts) {
-    cuts->resize(sz(max_cuts));
+  if (static_cast<int>(cuts->size()) > kMaxCutsPerCall) {
+    cuts->resize(sz(kMaxCutsPerCall));
   }
 }
 
 }  // namespace
 
 std::vector<Cut> separate_gomory(const Model& model, const Basis& basis,
-                                 const std::vector<double>& x,
-                                 const CutOptions& opt) {
+                                 const std::vector<double>& x) {
   const int m = model.constraint_count();
   const int n = model.variable_count();
   if (m == 0 || !basis.compatible_with(model) ||
@@ -184,7 +190,7 @@ std::vector<Cut> separate_gomory(const Model& model, const Basis& basis,
     const int b = basis.basic[sz(r)];
     if (b >= n || !model.variable(b).integer) continue;
     const double f0 = frac(x[sz(b)]);
-    if (f0 < opt.min_fraction || f0 > 1.0 - opt.min_fraction) continue;
+    if (f0 < kMinFraction || f0 > 1.0 - kMinFraction) continue;
 
     std::fill(rho.begin(), rho.end(), 0.0);
     rho[sz(r)] = 1.0;
@@ -263,18 +269,17 @@ std::vector<Cut> separate_gomory(const Model& model, const Basis& basis,
     if (!usable) continue;
 
     Cut cut;
-    if (finalize_ge_cut(model, coef, rhs, x, opt, &cut)) {
+    if (finalize_ge_cut(model, coef, rhs, x, &cut)) {
       out.push_back(std::move(cut));
     }
   }
 
-  sort_and_cap(&out, opt.max_cuts);
+  sort_and_cap(&out);
   return out;
 }
 
 std::vector<Cut> separate_cover(const Model& model,
-                                const std::vector<double>& x,
-                                const CutOptions& opt) {
+                                const std::vector<double>& x) {
   const int n = model.variable_count();
   if (static_cast<int>(x.size()) != n) return {};
   std::vector<Cut> out;
@@ -367,7 +372,7 @@ std::vector<Cut> separate_cover(const Model& model,
         viol_raw += it.y;
         amax = std::max(amax, it.a);
       }
-      if (viol_raw <= opt.min_violation) continue;
+      if (viol_raw <= kMinCutViolation) continue;
 
       // Extended cover: every item at least as heavy as the heaviest cover
       // member joins the left-hand side at the same rhs.
@@ -404,12 +409,12 @@ std::vector<Cut> separate_cover(const Model& model,
                 [](const Term& p, const Term& q) { return p.var < q.var; });
       cut.violation =
           (act - rhs) / std::sqrt(static_cast<double>(cut.terms.size()));
-      if (cut.violation < opt.min_violation) continue;
+      if (cut.violation < kMinCutViolation) continue;
       out.push_back(std::move(cut));
     }
   }
 
-  sort_and_cap(&out, opt.max_cuts);
+  sort_and_cap(&out);
   return out;
 }
 

@@ -31,18 +31,9 @@ struct Cut {
   double violation = 0.0;
 };
 
-struct CutOptions {
-  double integer_tol = 1e-6;
-  /// Minimum normalized violation for a cut to be worth adding.
-  double min_violation = 1e-4;
-  /// Gomory source rows need frac(x_B) in [min_fraction, 1 - min_fraction];
-  /// nearly-integral rows produce numerically poor cuts.
-  double min_fraction = 5e-3;
-  /// Reject cuts whose |coef| dynamic range exceeds this (ill-conditioned).
-  double max_dynamism = 1e7;
-  /// Cap per separation call (most-violated first).
-  int max_cuts = 32;
-};
+/// Minimum normalized violation for a cut to be worth adding; the
+/// separators and the branch & bound cut pool share it.
+inline constexpr double kMinCutViolation = 1e-4;
 
 /// Gomory mixed-integer cuts from the rows of `basis` whose basic variable
 /// is a fractional structural integer. `x` is the relaxation's optimal
@@ -51,8 +42,7 @@ struct CutOptions {
 /// of the basis matrix). Rows whose source data is numerically unsuitable
 /// are skipped, never emitted loose.
 std::vector<Cut> separate_gomory(const Model& model, const Basis& basis,
-                                 const std::vector<double>& x,
-                                 const CutOptions& opt = {});
+                                 const std::vector<double>& x);
 
 /// Knapsack cover cuts on rows all of whose variables are binary in
 /// `model` (bounds {0,1}, integer). Each such row is canonicalized to
@@ -60,8 +50,7 @@ std::vector<Cut> separate_gomory(const Model& model, const Basis& basis,
 /// greedy minimal cover violated at `x` is extended with every heavier
 /// item and mapped back to x-space.
 std::vector<Cut> separate_cover(const Model& model,
-                                const std::vector<double>& x,
-                                const CutOptions& opt = {});
+                                const std::vector<double>& x);
 
 /// Violation / parallelism / capacity filter over accepted cuts. `add`
 /// rejects (returns false) cuts below `min_violation`, near-parallel to an

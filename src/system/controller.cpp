@@ -169,8 +169,8 @@ void Controller::on_peer_readable(int fd) {
   if (closed) {
     loop_.remove(fd);
     peers_.erase(fd);
-    // Queued submits from the departed peer must be dropped, not solved:
-    // beyond wasting the batch MILP on a dead requester, the kernel reuses
+    // Queued submits from the departed peer must be dropped, not admitted:
+    // beyond wasting admission work on a dead requester, the kernel reuses
     // fd numbers, so a stale entry could reply to the wrong peer.
     purge_queue_for_fd(fd);
     if (obs::enabled()) {
@@ -405,8 +405,9 @@ void Controller::drain_admission_queue() {
 
   // Retroactive queue-wait spans (enqueue -> this drain), parented under
   // each traced submit's client span; the first traced entry's queue-wait
-  // becomes the ambient parent of the whole batch solve, so the per-demand
-  // client trace connects through to the shared MILP/broadcast spans.
+  // becomes the ambient parent of the whole batch drain, so the per-demand
+  // client trace connects through to the shared admission, scheduling and
+  // broadcast spans.
   obs::SpanContext batch_parent{};
   const std::int64_t drain_us = obs::now_us();
   if (obs::enabled()) {

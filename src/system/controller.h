@@ -150,7 +150,7 @@ class Controller {
   void shed(Peer& peer, std::uint64_t request_id, DemandId id,
             double retry_after_ms);
   /// Drops queued work belonging to a departed peer (dead entries must not
-  /// reach the batch solve) and, for withdraw, a tenant's queued demand.
+  /// reach the admission walk) and, for withdraw, a tenant's queued demand.
   void purge_queue_for_fd(int fd);
   void purge_queue_for_demand(DemandId id);
   int tenant_of(const Peer& peer) const;

@@ -93,7 +93,7 @@ enum class LockRank : int {
                       // metrics (kObsRegistry) but never log under the lock
   kLogger = 15,       // util/log.h sink; check-failure paths log under locks
   kThreadPool = 20,   // pool + per-worker queue locks; tasks run lock-free
-  kSolver = 30,       // parallel branch & bound shared search state
+  kSolver = 30,       // reserved: no production lock; tests use it as a mid rank
   kScheduler = 35,    // scheduler joint-pattern cache
   kEventLoop = 40,    // cross-thread watcher-mutation queue
   kBroker = 50,       // broker enforcer state + socket write ordering

@@ -1,4 +1,6 @@
-// Small work-stealing thread pool for embarrassingly parallel loops.
+// Small work-stealing thread pool for embarrassingly parallel loops:
+// Campaign::run's Monte-Carlo reps and the scheduler's per-pair pattern
+// work (TrafficScheduler's constructor, precompute_pattern_capabilities).
 //
 // Each worker owns a deque guarded by its own mutex: the owner pushes and
 // pops at the back (LIFO, cache-warm), thieves steal from the front (FIFO,
@@ -47,17 +49,6 @@ class ThreadPool {
   /// Runs body(0..n-1) across the pool and the calling thread; returns when
   /// all indices completed. Rethrows the first body exception.
   void parallel_for(int n, const std::function<void(int)>& body);
-
-  /// Index of the calling thread if it is one of THIS pool's workers, else
-  /// -1 (external threads, and workers of other pools). Lets callers detect
-  /// they are already inside the pool and avoid nesting parallel_for.
-  int current_worker() const;
-
-  /// Pops and runs one pending task on the calling thread, if any. Returns
-  /// whether a task ran. Safe from any thread; idle waiters (e.g. a branch &
-  /// bound worker with an empty open-node queue) use it to keep draining the
-  /// pool instead of holding a worker hostage.
-  bool run_one();
 
   /// Process-wide shared pool (lazily constructed, never destroyed before
   /// exit). Use for library-internal parallelism so layers don't each spawn

@@ -277,5 +277,45 @@ TEST(BackupPlanner, OptimalPlansMatchRecoverOptimal) {
   EXPECT_TRUE(lost_profit);
 }
 
+/// Testbed6 with a 4-tunnel all-pairs catalog and a default scheduler.
+struct Testbed6Fixture {
+  Topology topo = testbed6();
+  TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  TrafficScheduler scheduler{topo, catalog, SchedulerConfig{}};
+};
+
+TEST(BackupPlannerExtension, ConcurrentPairPlansAreUsed) {
+  Testbed6Fixture fx;
+  std::vector<Demand> demands(2);
+  demands[0].id = 1;
+  demands[0].pairs = {{fx.catalog.pair_index({0, 2}), 400.0}};
+  demands[0].availability_target = 0.99;
+  demands[0].charge = 400.0;
+  demands[1].id = 2;
+  demands[1].pairs = {{fx.catalog.pair_index({0, 4}), 500.0}};
+  demands[1].availability_target = 0.95;
+  demands[1].charge = 500.0;
+  const auto r = fx.scheduler.schedule(demands);
+  ASSERT_TRUE(r.feasible);
+
+  BackupPlanner single(fx.topo, fx.catalog, 0);
+  BackupPlanner pairs(fx.topo, fx.catalog, 8);
+  single.precompute(demands, r.alloc);
+  pairs.precompute(demands, r.alloc);
+  EXPECT_GT(pairs.plan_count(), single.plan_count());
+
+  // plan_for: exact pair match where planned, single-link fallback else.
+  std::vector<LinkId> loaded;
+  const auto usage = link_usage(fx.topo, fx.catalog, demands, r.alloc);
+  for (LinkId e = 0; e < fx.topo.link_count(); ++e) {
+    if (usage[static_cast<std::size_t>(e)] > 1e-9) loaded.push_back(e);
+  }
+  ASSERT_GE(loaded.size(), 2u);
+  const LinkId two[] = {loaded[0], loaded[1]};
+  EXPECT_NE(pairs.plan_for(two), nullptr);
+  EXPECT_NE(single.plan_for(two), nullptr);  // falls back to single plan
+  EXPECT_EQ(single.plan_for({}), nullptr);
+}
+
 }  // namespace
 }  // namespace bate

@@ -45,7 +45,7 @@ void write_bench_json(const BenchReport& report, const std::string& path) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": " << quote(report.bench) << ",\n";
-  out << "  \"schema_version\": 6,\n";
+  out << "  \"schema_version\": 7,\n";
   out << "  \"cases\": [";
   for (std::size_t i = 0; i < report.cases.size(); ++i) {
     const BenchCase& c = report.cases[i];
@@ -96,9 +96,10 @@ std::string validate_bench_json(const std::string& path) {
   const JsonValue* ver = root.find("schema_version");
   if (!ver || ver->kind != JsonValue::Kind::kNumber ||
       (ver->number != 1.0 && ver->number != 2.0 && ver->number != 3.0 &&
-       ver->number != 4.0 && ver->number != 5.0 && ver->number != 6.0)) {
+       ver->number != 4.0 && ver->number != 5.0 && ver->number != 6.0 &&
+       ver->number != 7.0)) {
     return "missing field 'schema_version' or version not in {1, 2, 3, 4, 5, "
-           "6}";
+           "6, 7}";
   }
   const JsonValue* obs = root.find("obs");
   if (obs != nullptr && obs->kind != JsonValue::Kind::kObject) {

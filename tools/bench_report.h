@@ -28,8 +28,10 @@
 // ledger PR) added the system bench's slo chaos case (slo_demands,
 // slo_crosscheck_max_abs_err, slo_min/mean_availability, slo_worst_burn)
 // and the solver obs-overhead arms now exercise the ledger + time-series
-// store. All changes are additive: the container shape is unchanged, the
-// validator accepts v1-v6 files, and the version field is informational
+// store; v7 (serial branch & bound PR) dropped the milp bench's cold and
+// parallel configurations (cold_*/parallel_* timings, warm_speedup_vs_cold,
+// parallel_speedup_vs_cold). The container shape is unchanged, the
+// validator accepts v1-v7 files, and the version field is informational
 // for downstream diffing.
 //
 // validate_bench_json re-parses an emitted file with a minimal hand-rolled
@@ -64,7 +66,7 @@ struct BenchReport {
 /// cannot be written or a metric value is not finite.
 void write_bench_json(const BenchReport& report, const std::string& path);
 
-/// Parses `path` and checks the BENCH schema above (version 1 through 6).
+/// Parses `path` and checks the BENCH schema above (version 1 through 7).
 /// Returns an empty string on success, else a one-line description of the
 /// first violation.
 std::string validate_bench_json(const std::string& path);
