@@ -73,7 +73,8 @@ void SloLedger::admit(std::int64_t id, std::int64_t tenant, double beta,
   e.admitted_us = t_us;
   e.meter.start(t_us, /*satisfied=*/true);
   note_transition(e, DemandState::kAdmitted, t_us);
-  LedgerMetrics::get().live.set(static_cast<double>(demands_.size()));
+  ++live_;
+  LedgerMetrics::get().live.set(static_cast<double>(live_));
 }
 
 void SloLedger::allocate(std::int64_t id, std::int64_t t_us) {
@@ -142,11 +143,8 @@ void SloLedger::withdraw(std::int64_t id, std::int64_t t_us) {
   e.meter.finalize(t_us);
   note_transition(e, DemandState::kWithdrawn, t_us);
   retire(id);
-  std::size_t live = 0;
-  for (const auto& [did, de] : demands_) {
-    if (de.state != DemandState::kWithdrawn) ++live;
-  }
-  LedgerMetrics::get().live.set(static_cast<double>(live));
+  --live_;
+  LedgerMetrics::get().live.set(static_cast<double>(live_));
 }
 
 void SloLedger::retire(std::int64_t id) {
@@ -164,11 +162,7 @@ std::int64_t SloLedger::invalid_transitions() const {
 
 std::size_t SloLedger::live_demands() const {
   MutexLock lock(mu_);
-  std::size_t live = 0;
-  for (const auto& [id, e] : demands_) {
-    if (e.state != DemandState::kWithdrawn) ++live;
-  }
-  return live;
+  return live_;
 }
 
 void SloLedger::clear() {
@@ -176,6 +170,7 @@ void SloLedger::clear() {
   demands_.clear();
   withdrawn_order_.clear();
   invalid_ = 0;
+  live_ = 0;
   LedgerMetrics::get().live.set(0.0);
 }
 

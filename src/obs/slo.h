@@ -151,6 +151,9 @@ class SloLedger {
   /// Withdrawn ids in retirement order (oldest first), capped.
   std::deque<std::int64_t> withdrawn_order_ BATE_GUARDED_BY(mu_);
   std::int64_t invalid_ BATE_GUARDED_BY(mu_) = 0;
+  /// Entries not yet withdrawn; admit() and withdraw() keep it, retire()
+  /// evicts only withdrawn entries, so it never needs a recount.
+  std::size_t live_ BATE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace bate::obs

@@ -89,6 +89,7 @@ void Broker::stop() {
 void Broker::receive_loop() {
   FrameReader reader;
   std::array<std::uint8_t, 4096> buf{};
+  std::vector<AllocationUpdateMsg> updates;
   while (running_) {
     long n = 0;
     try {
@@ -99,6 +100,10 @@ void Broker::receive_loop() {
     if (n <= 0) break;  // peer closed or socket shut down
     if (obs::enabled()) BrokerMetrics::get().bytes_in.inc(n);
     reader.feed({buf.data(), static_cast<std::size_t>(n)});
+    // Decode every complete frame of this read first, then apply the
+    // updates as one batch: one lock and one wake-up per read, not per row.
+    updates.clear();
+    obs::SpanContext first_trace{};
     while (auto frame = reader.next_frame()) {
       if (obs::enabled()) BrokerMetrics::get().frames_in.inc();
       Message msg;
@@ -108,35 +113,44 @@ void Broker::receive_loop() {
         BATE_LOG_EVERY_N(kWarn, "broker", 1024) << "bad message: " << e.what();
         continue;
       }
-      if (const auto* update = std::get_if<AllocationUpdateMsg>(&msg)) {
-        if (obs::enabled()) {
-          auto& m = BrokerMetrics::get();
-          m.updates.inc();
-          if (update->backup) m.backup_updates.inc();
+      if (auto* update = std::get_if<AllocationUpdateMsg>(&msg)) {
+        if (updates.empty()) {
+          first_trace = obs::SpanContext{frame->context.trace_id,
+                                         frame->context.span_id};
         }
-        // Adopt the frame's trace context (the controller.broadcast span)
-        // so the apply span joins the demand's cross-process trace.
-        obs::ScopedTraceContext adopt(obs::SpanContext{
-            frame->context.trace_id, frame->context.span_id});
-        BATE_TRACE_SPAN("broker.apply");
-        apply_update(*update);
+        updates.push_back(std::move(*update));
       }
     }
+    if (updates.empty()) continue;
+    if (obs::enabled()) {
+      auto& m = BrokerMetrics::get();
+      m.updates.inc(static_cast<std::int64_t>(updates.size()));
+      m.backup_updates.inc(static_cast<std::int64_t>(std::count_if(
+          updates.begin(), updates.end(),
+          [](const AllocationUpdateMsg& u) { return u.backup; })));
+    }
+    // Adopt the first frame's trace context (a controller.broadcast span)
+    // so the apply span joins that demand's cross-process trace.
+    obs::ScopedTraceContext adopt(first_trace);
+    BATE_TRACE_SPAN("broker.apply");
+    apply_updates(updates);
   }
 }
 
-void Broker::apply_update(const AllocationUpdateMsg& update) {
+void Broker::apply_updates(std::span<const AllocationUpdateMsg> updates) {
   {
     MutexLock lock(mu_);
-    if (update.tunnel_mbps.empty()) {
-      rates_.erase({update.id, update.pair});
-      enforcer_.remove(update.id, update.pair);
-    } else {
-      rates_[{update.id, update.pair}] = update.tunnel_mbps;
-      enforcer_.update(update.id, update.pair, update.tunnel_mbps);
+    for (const AllocationUpdateMsg& update : updates) {
+      if (update.tunnel_mbps.empty()) {
+        rates_.erase({update.id, update.pair});
+        enforcer_.remove(update.id, update.pair);
+      } else {
+        rates_[{update.id, update.pair}] = update.tunnel_mbps;
+        enforcer_.update(update.id, update.pair, update.tunnel_mbps);
+      }
+      backup_active_ = update.backup;
     }
-    backup_active_ = update.backup;
-    ++updates_;
+    updates_ += static_cast<int>(updates.size());
   }
   cv_.notify_all();
 }

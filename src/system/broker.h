@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -69,11 +70,13 @@ class Broker {
  private:
   /// Receive-thread body. Reads socket_ without write_mu_ by design (see
   /// the stop() ordering proof below), so the analysis is off for it; all
-  /// state mutation is delegated to apply_update().
+  /// state mutation is delegated to apply_updates().
   void receive_loop() BATE_NO_THREAD_SAFETY_ANALYSIS;
-  /// Applies one allocation update to the enforcer view (takes mu_); an
-  /// empty update removes the row.
-  void apply_update(const AllocationUpdateMsg& update) BATE_EXCLUDES(mu_);
+  /// Applies one read's allocation updates to the enforcer view in arrival
+  /// order under a single mu_ hold, then wakes waiters once; an empty
+  /// update removes its row.
+  void apply_updates(std::span<const AllocationUpdateMsg> updates)
+      BATE_EXCLUDES(mu_);
 
   int dc_;
   std::uint16_t port_;
@@ -94,7 +97,7 @@ class Broker {
   int reports_dropped_ BATE_GUARDED_BY(write_mu_) = 0;
 
   mutable Mutex mu_{LockRank::kBroker, "broker state"};
-  mutable CondVar cv_;  // signalled per update, waits on mu_
+  mutable CondVar cv_;  // signalled per applied read, waits on mu_
   BandwidthEnforcer enforcer_ BATE_GUARDED_BY(mu_);
   std::map<std::pair<DemandId, int>, std::vector<double>> rates_
       BATE_GUARDED_BY(mu_);

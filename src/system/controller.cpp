@@ -36,6 +36,9 @@ struct ControllerMetrics {
   obs::Gauge& queue_depth;
   obs::Histogram& batch_size;
   obs::Histogram& reply_latency_us;
+  // SLO refresh (DESIGN.md Sec 9.4): time per refresh and rows re-derived.
+  obs::Histogram& slo_refresh_us;
+  obs::Counter& slo_rows_refreshed;
 
   static ControllerMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -57,6 +60,8 @@ struct ControllerMetrics {
         reg.gauge("bate_admission_queue_depth"),
         reg.histogram("bate_admission_batch_size"),
         reg.histogram("bate_admission_reply_latency_us"),
+        reg.histogram("bate_controller_slo_refresh_us"),
+        reg.counter("bate_controller_slo_rows_refreshed_total"),
     };
     return m;
   }
@@ -299,7 +304,7 @@ void Controller::handle_message(Peer& peer, const Message& msg,
       const Allocation empty(gone->pairs.size());
       broadcast_rows(false, {&*gone, 1}, {&empty, 1});
     }
-    refresh_slo(obs::now_us());
+    refresh_slo(obs::now_us(), 0);
     return;
   }
   if (const auto* status = std::get_if<LinkStatusMsg>(&msg)) {
@@ -313,7 +318,7 @@ void Controller::handle_message(Peer& peer, const Message& msg,
       active_plan_ = nullptr;
       broadcast_allocations(false, nullptr);
     }
-    refresh_slo(obs::now_us());
+    refresh_slo(obs::now_us(), 0);
     return;
   }
   if (const auto* req = std::get_if<StatsRequestMsg>(&msg)) {
@@ -466,6 +471,11 @@ void Controller::drain_admission_queue() {
     admission_.reschedule();
     rescheduled = true;
   }
+  // An append-only tick leaves every earlier row's allocation, the active
+  // table and down_links_ as the last refresh saw them; read before the
+  // precompute below clears active_plan_.
+  const bool append_only = !rescheduled && !config_.precompute_backup &&
+                           active_plan_ == nullptr;
   if (config_.precompute_backup) {
     active_plan_ = nullptr;  // precompute invalidates plan pointers
     planner_.precompute(admission_.admitted(), admission_.allocations());
@@ -480,7 +490,7 @@ void Controller::drain_admission_queue() {
     // allocations: delta-broadcast just the new rows.
     broadcast_new_allocations(result.first_new_index);
   }
-  refresh_slo(obs::now_us());
+  refresh_slo(obs::now_us(), append_only ? result.first_new_index : 0);
 }
 
 int Controller::send_allocations_to(Peer& peer, bool backup,
@@ -545,17 +555,26 @@ void Controller::broadcast_allocations(bool backup,
                  use_plan ? plan->alloc : admission_.allocations());
 }
 
-void Controller::refresh_slo(std::int64_t now_us) {
+void Controller::refresh_slo(std::int64_t now_us, std::size_t first_row) {
   // Delivered rate per (demand, pair): the live allocation table (primary,
   // or the activated backup plan) minus every tunnel crossing a down link.
   // This is the controller-side replay of the simulator's deliver_second
   // satisfied rule, through the shared obs::interval_satisfied floor.
+  //
+  // Invariant that makes a partial refresh exact: every handler that changes
+  // allocations, the active table or down_links_ ends with a refresh, so
+  // between handlers each row's ledger bit is current. A row's bit depends
+  // only on its own allocation, the active table and down_links_; when a
+  // tick merely appended rows, rows before first_row already carry their
+  // bit and re-deriving them would change nothing.
+  obs::Span span("controller.refresh_slo");
+  const std::int64_t t0 = obs::now_us();
   const bool backup = active_plan_ != nullptr;
   const auto& demands = backup ? planner_.demands() : admission_.admitted();
   const auto& allocs = backup ? active_plan_->alloc : admission_.allocations();
   const TunnelCatalog& catalog = scheduler_.catalog();
   const std::size_t n = std::min(demands.size(), allocs.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = first_row; i < n; ++i) {
     const Demand& d = demands[i];
     bool ok = true;
     for (std::size_t p = 0; p < d.pairs.size() && ok; ++p) {
@@ -583,6 +602,13 @@ void Controller::refresh_slo(std::int64_t now_us) {
       ok = obs::interval_satisfied(delivered / d.pairs[p].mbps);
     }
     ledger_.set_satisfied(d.id, ok, now_us);
+  }
+  if (obs::enabled()) {
+    auto& m = ControllerMetrics::get();
+    m.slo_refresh_us.record(obs::now_us() - t0);
+    if (n > first_row) {
+      m.slo_rows_refreshed.inc(static_cast<std::int64_t>(n - first_row));
+    }
   }
 }
 

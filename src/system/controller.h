@@ -177,11 +177,13 @@ class Controller {
                       std::span<const Allocation> allocs);
   void run_scheduling_round();
 
-  /// Re-derives every admitted demand's satisfied bit from the active
-  /// allocation table and the current down-link set, and feeds the SLO
-  /// ledger (degrade/recover transitions on change only). Called after
-  /// admissions, link events and withdrawals.
-  void refresh_slo(std::int64_t now_us);
+  /// Re-derives the satisfied bit of rows [first_row, n) of the active
+  /// allocation table under the current down-link set, and feeds the SLO
+  /// ledger (degrade/recover transitions on change only). A tick that only
+  /// appended greedy rows to the primary table passes its first new row;
+  /// withdrawals, link events and ticks that rescheduled or precomputed
+  /// pass 0 (DESIGN.md Sec 9.4).
+  void refresh_slo(std::int64_t now_us, std::size_t first_row);
   /// Samples the registry into the time-series store once per
   /// slo_sample_period_ms (tick handler).
   void sample_slo_series(std::int64_t now_us);

@@ -287,6 +287,7 @@ TEST(SloLedger, WithdrawnRetentionCapEvictsOldest) {
                                      /*max_withdrawn=*/2});
   for (std::int64_t id = 1; id <= 3; ++id) {
     ledger.admit(id, 0, 0.9, 0);
+    EXPECT_EQ(ledger.live_demands(), 1u);
     ledger.withdraw(id, id * kSec);
   }
   EXPECT_EQ(ledger.live_demands(), 0u);
@@ -295,6 +296,27 @@ TEST(SloLedger, WithdrawnRetentionCapEvictsOldest) {
   ASSERT_EQ(snap.demands.size(), 2u);
   EXPECT_EQ(snap.demands[0].id, 2);
   EXPECT_EQ(snap.demands[1].id, 3);
+
+  // The live count: a duplicate admit (of a retained withdrawn id, or of a
+  // live one) and a second withdraw are invalid and leave it alone, and
+  // evicting a retired row never moves it.
+  ledger.admit(3, 0, 0.9, 11 * kSec);
+  ledger.withdraw(3, 11 * kSec);
+  EXPECT_EQ(ledger.live_demands(), 0u);
+  ledger.admit(4, 0, 0.9, 12 * kSec);
+  ledger.admit(4, 0, 0.9, 12 * kSec);
+  ledger.admit(5, 0, 0.9, 12 * kSec);
+  EXPECT_EQ(ledger.live_demands(), 2u);
+  ledger.withdraw(5, 13 * kSec);  // evicts id 2
+  EXPECT_EQ(ledger.live_demands(), 1u);
+  EXPECT_EQ(ledger.invalid_transitions(), 3);
+  const auto after = ledger.snapshot(14 * kSec);
+  ASSERT_EQ(after.demands.size(), 3u);
+  EXPECT_EQ(after.demands[0].id, 3);
+  EXPECT_EQ(after.demands[1].id, 4);
+  EXPECT_EQ(after.demands[2].id, 5);
+  EXPECT_DOUBLE_EQ(
+      Registry::global().gauge("bate_slo_demands_live").value(), 1.0);
 }
 
 TEST(SloLedger, TenantAggregation) {
@@ -339,11 +361,17 @@ TEST(SloLedger, SnapshotJsonShape) {
 TEST(SloLedger, ClearForgetsEverything) {
   SloLedger ledger;
   ledger.admit(1, 0, 0.9, 0);
+  ledger.admit(2, 0, 0.9, 0);
+  ledger.withdraw(2, kSec);
   ledger.allocate(99, 0);  // one invalid
+  EXPECT_EQ(ledger.live_demands(), 1u);
   ledger.clear();
   EXPECT_EQ(ledger.live_demands(), 0u);
   EXPECT_EQ(ledger.invalid_transitions(), 0);
   EXPECT_TRUE(ledger.snapshot(kSec).demands.empty());
+  // The count restarts from zero: a cleared id is admissible again.
+  ledger.admit(1, 0, 0.9, 2 * kSec);
+  EXPECT_EQ(ledger.live_demands(), 1u);
 }
 
 TEST(SloLedgerStrings, StateNames) {

@@ -18,6 +18,7 @@
 
 #include "net/framing.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "system/broker.h"
 #include "system/client.h"
@@ -138,18 +139,52 @@ TEST(Protocol, RejectsGarbage) {
   EXPECT_THROW(decode_message({}), std::out_of_range);
 }
 
+TEST(BrokerApply, OneReadAppliesInArrivalOrder) {
+  // A fake controller writes four updates as one batch in one write; the
+  // broker applies each read's updates in order under one lock, so a later
+  // frame for the same row must win over an earlier one.
+  TcpListener listener(0);
+  Broker broker(3, listener.port());
+  broker.start();
+  auto conn = listener.accept();
+  ASSERT_TRUE(conn.has_value());
+
+  FrameBatch batch;
+  batch.add(encode_message(AllocationUpdateMsg{7, 0, {10.0, 5.0}, false}));
+  batch.add(encode_message(AllocationUpdateMsg{7, 0, {}, false}));
+  batch.add(encode_message(AllocationUpdateMsg{8, 0, {1.0, 2.0}, false}));
+  batch.add(encode_message(AllocationUpdateMsg{8, 0, {3.0, 4.0}, true}));
+  conn->write_all(batch.bytes());
+
+  EXPECT_EQ(broker.wait_updates_past(3, kWaitMs), 4);
+  EXPECT_TRUE(broker.enforced_rates(7, 0).empty());
+  EXPECT_EQ(broker.enforced_rates(8, 0), (std::vector<double>{3.0, 4.0}));
+  EXPECT_EQ(broker.updates_received(), 4);
+  EXPECT_TRUE(broker.backup_active());
+  broker.stop();
+}
+
 struct SystemFixture : ::testing::Test {
   Topology topo = testbed6();
   TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  ControllerConfig config;
   std::unique_ptr<Controller> controller;
 
   void SetUp() override {
-    controller = std::make_unique<Controller>(topo, catalog,
-                                              SchedulerConfig{},
-                                              AdmissionStrategy::kBate);
+    controller = std::make_unique<Controller>(
+        topo, catalog, SchedulerConfig{}, AdmissionStrategy::kBate, config);
     controller->start();
   }
   void TearDown() override { controller->stop(); }
+};
+
+/// The high-churn configuration: no post-batch reschedule and no backup
+/// precompute, so a tick whose admissions all go greedy only appends rows.
+struct SystemAppendOnlyFixture : SystemFixture {
+  SystemAppendOnlyFixture() {
+    config.reschedule_after_batch = false;
+    config.precompute_backup = false;
+  }
 };
 
 TEST_F(SystemFixture, SubmitAdmitAndEnforce) {
@@ -696,6 +731,112 @@ TEST_F(SystemFixture, SloLedgerTracksLinkFlapOverRpc) {
   EXPECT_NE(combined.find("\"ledger\":"), std::string::npos);
   EXPECT_NE(combined.find("\"series\":"), std::string::npos);
   EXPECT_NE(combined.find("\"tenants\":"), std::string::npos);
+  broker.stop();
+}
+
+
+/// The ledger row of demand `id` in a kSloRequest "ledger" payload: from
+/// its opening brace to the end of its transition list; empty when absent.
+std::string ledger_row(const std::string& slo_json, DemandId id) {
+  const std::string key = "{\"id\":" + std::to_string(id) + ",";
+  const std::size_t begin = slo_json.find(key);
+  if (begin == std::string::npos) return {};
+  const std::size_t end = slo_json.find("]}", begin);
+  return slo_json.substr(begin, end == std::string::npos ? end : end - begin);
+}
+
+/// The row's lifecycle state ("allocated", "degraded", ...).
+std::string state_of(const std::string& row) {
+  const std::string key = "\"state\":\"";
+  const std::size_t pos = row.find(key);
+  if (pos == std::string::npos) return {};
+  const std::size_t begin = pos + key.size();
+  return row.substr(begin, row.find('"', begin) - begin);
+}
+
+/// Number of transitions logged in the row.
+int transitions_of(const std::string& row) {
+  int n = 0;
+  for (std::size_t pos = row.find("{\"t_us\":"); pos != std::string::npos;
+       pos = row.find("{\"t_us\":", pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(SystemAppendOnlyFixture, AppendTickRefreshesOnlyNewRows) {
+  ASSERT_TRUE(obs::enabled()) << "tests assume BATE_OBS_OFF is not set";
+  obs::Counter& rows_refreshed = obs::Registry::global().counter(
+      "bate_controller_slo_rows_refreshed_total");
+
+  // Every link a tunnel of pair 0 crosses, and a pair none of whose tunnels
+  // crosses any of them.
+  std::set<LinkId> links;
+  for (const Tunnel& t : catalog.tunnels(0)) {
+    links.insert(t.links.begin(), t.links.end());
+  }
+  int untouched = -1;
+  for (int pair = 1; pair < catalog.pair_count() && untouched < 0; ++pair) {
+    bool clear = true;
+    for (const Tunnel& t : catalog.tunnels(pair)) {
+      for (const LinkId l : t.links) clear = clear && links.count(l) == 0;
+    }
+    if (clear) untouched = pair;
+  }
+  ASSERT_GE(untouched, 0) << "testbed6 has no pair disjoint from pair 0";
+
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  ASSERT_TRUE(user.submit(make_demand(1, 0, 50.0, 0.0)));
+  ASSERT_TRUE(user.submit(make_demand(2, untouched, 50.0, 0.0)));
+
+  // Take pair 0 down. The controller counts a failure as its handler
+  // starts; an SLO request sent after the last one is counted is served
+  // after that handler, and its refresh, has finished.
+  for (const LinkId l : links) broker.report_link(l, false);
+  ASSERT_TRUE(wait_for([&] {
+    return controller->stats().link_failures_handled ==
+           static_cast<int>(links.size());
+  }));
+  std::string payload = user.slo("ledger");
+  ASSERT_EQ(state_of(ledger_row(payload, 1)), "degraded") << payload;
+  EXPECT_EQ(transitions_of(ledger_row(payload, 1)), 3);  // admit, alloc, deg
+  EXPECT_EQ(state_of(ledger_row(payload, 2)), "allocated");
+
+  // Greedy admission does not consult the down set, so best-effort demands
+  // on pair 0 are admitted; the tick only appends rows and must refresh
+  // exactly those, degrading the new pair-0 rows.
+  const std::vector<Demand> batch = {
+      make_demand(3, 0, 1.0, 0.0), make_demand(4, untouched, 1.0, 0.0),
+      make_demand(5, 0, 1.0, 0.0), make_demand(6, untouched, 1.0, 0.0)};
+  const std::int64_t before = rows_refreshed.value();
+  for (const auto& reply : user.submit_many(batch)) {
+    EXPECT_TRUE(reply.admitted()) << "demand " << reply.id;
+  }
+  // Replies leave before the tick's refresh; this round trip is handled
+  // after that tick completes.
+  payload = user.slo("ledger");
+  EXPECT_EQ(rows_refreshed.value() - before,
+            static_cast<std::int64_t>(batch.size()));
+  EXPECT_EQ(state_of(ledger_row(payload, 3)), "degraded") << payload;
+  EXPECT_EQ(state_of(ledger_row(payload, 5)), "degraded");
+  EXPECT_EQ(state_of(ledger_row(payload, 4)), "allocated");
+  EXPECT_EQ(state_of(ledger_row(payload, 6)), "allocated");
+  // The earlier rows are untouched: no new transition on the degraded one.
+  EXPECT_EQ(state_of(ledger_row(payload, 1)), "degraded");
+  EXPECT_EQ(transitions_of(ledger_row(payload, 1)), 3);
+  EXPECT_EQ(state_of(ledger_row(payload, 2)), "allocated");
+
+  // Repair: link events refresh every row, old and appended alike.
+  for (const LinkId l : links) broker.report_link(l, true);
+  ASSERT_TRUE(wait_for([&] {
+    payload = user.slo("ledger");
+    return state_of(ledger_row(payload, 1)) == "recovered" &&
+           state_of(ledger_row(payload, 3)) == "recovered" &&
+           state_of(ledger_row(payload, 5)) == "recovered";
+  })) << payload;
+  EXPECT_EQ(state_of(ledger_row(payload, 2)), "allocated");
   broker.stop();
 }
 

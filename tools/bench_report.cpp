@@ -45,7 +45,7 @@ void write_bench_json(const BenchReport& report, const std::string& path) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": " << quote(report.bench) << ",\n";
-  out << "  \"schema_version\": 7,\n";
+  out << "  \"schema_version\": 8,\n";
   out << "  \"cases\": [";
   for (std::size_t i = 0; i < report.cases.size(); ++i) {
     const BenchCase& c = report.cases[i];
@@ -97,9 +97,9 @@ std::string validate_bench_json(const std::string& path) {
   if (!ver || ver->kind != JsonValue::Kind::kNumber ||
       (ver->number != 1.0 && ver->number != 2.0 && ver->number != 3.0 &&
        ver->number != 4.0 && ver->number != 5.0 && ver->number != 6.0 &&
-       ver->number != 7.0)) {
+       ver->number != 7.0 && ver->number != 8.0)) {
     return "missing field 'schema_version' or version not in {1, 2, 3, 4, 5, "
-           "6, 7}";
+           "6, 7, 8}";
   }
   const JsonValue* obs = root.find("obs");
   if (obs != nullptr && obs->kind != JsonValue::Kind::kObject) {

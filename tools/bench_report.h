@@ -30,9 +30,10 @@
 // and the solver obs-overhead arms now exercise the ledger + time-series
 // store; v7 (serial branch & bound PR) dropped the milp bench's cold and
 // parallel configurations (cold_*/parallel_* timings, warm_speedup_vs_cold,
-// parallel_speedup_vs_cold). The container shape is unchanged, the
-// validator accepts v1-v7 files, and the version field is informational
-// for downstream diffing.
+// parallel_speedup_vs_cold); v8 (incremental SLO refresh PR) added the
+// system bench's slo_rows_refreshed_per_admission to the batched case. The
+// container shape is unchanged, the validator accepts v1-v8 files, and the
+// version field is informational for downstream diffing.
 //
 // validate_bench_json re-parses an emitted file with a minimal hand-rolled
 // JSON reader (tools/json_mini.h, no third-party deps) and checks exactly
@@ -66,7 +67,7 @@ struct BenchReport {
 /// cannot be written or a metric value is not finite.
 void write_bench_json(const BenchReport& report, const std::string& path);
 
-/// Parses `path` and checks the BENCH schema above (version 1 through 7).
+/// Parses `path` and checks the BENCH schema above (version 1 through 8).
 /// Returns an empty string on success, else a one-line description of the
 /// first violation.
 std::string validate_bench_json(const std::string& path);

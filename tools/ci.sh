@@ -16,7 +16,8 @@
 #                  warm timing for the MILP bench); bench_system at a
 #                  reduced arrival count with an absolute floor on
 #                  admissions/sec, a ceiling on p99 reply latency and a
-#                  floor on the batched-vs-serial speedup; the SLO-ledger
+#                  floor on the batched-vs-serial speedup, a ceiling of
+#                  1.0 on SLO rows refreshed per admission; the SLO-ledger
 #                  crosscheck gate (measured availability must match the
 #                  shared simulator arithmetic within 1e-9 across a link-
 #                  flap chaos run); bate_top --once --json --check against
@@ -135,6 +136,12 @@ for leg in "${legs[@]}"; do
         --metric speedup_vs_serial --floor 5.0
       "build/dev/tools/bench_report" --max "$smoke_json" \
         --metric p99_reply_us --ceiling 200000
+      # Deterministic work gate: every batched-case tick only appends greedy
+      # rows, so the SLO refresh re-derives exactly one ledger row per
+      # admitted demand. A refresh over the whole admitted set would read
+      # about admitted / (2 x batch size) here.
+      "build/dev/tools/bench_report" --max "$smoke_json" \
+        --metric slo_rows_refreshed_per_admission --ceiling 1.0
       # SLO-ledger crosscheck gate (ISSUE 10): the slo chaos case replays
       # the ledger's transition log through the shared availability
       # arithmetic; the reported availability must match to 1e-9 (it is
