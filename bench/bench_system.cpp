@@ -32,7 +32,7 @@
 // A third case exercises the availability-SLO ledger (ISSUE 10):
 //
 //  * slo — chaos run: demands admitted through the pipeline, then brokers
-//    flap links down/up while the controller's ledger accrues degraded /
+//    flap links down/up while the controller's ledger tracks degraded /
 //    recovered windows; a slice of demands is withdrawn. The ledger is then
 //    scraped over the kSloRequest RPC and every reported availability is
 //    cross-checked against an independent replay of that demand's
@@ -221,11 +221,11 @@ ControllerConfig slo_controller_config() {
 }
 
 /// Takes `count` distinct links down — overlapping, not one at a time — then
-/// repairs them, pausing `dwell_ms` after every report. Overlap matters: the
-/// active backup plan avoids only the most recently failed link, so with two
-/// or more links down some demands are planned through another dead link and
-/// the ledger accrues real degraded windows (single-link flaps are healed
-/// completely by the backup plan and never degrade anything).
+/// repairs them, pausing `dwell_ms` after every report. The controller
+/// enforces the backup plan for the whole down set (BackupPlanner::plan_for),
+/// so a demand degrades only when the down links leave it too little
+/// surviving capacity. With links 0-2 of testbed6 and the 0.1 Mbps slo
+/// demands, every demand keeps a surviving tunnel and none degrades.
 void flap_links(Broker& b, int count, int dwell_ms) {
   for (int i = 0; i < count; ++i) {
     b.report_link(static_cast<LinkId>(i), false);

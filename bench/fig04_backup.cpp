@@ -66,7 +66,8 @@ int main() {
   const double baseline = full_profit(demands);
   double worst = 1.0;
   for (LinkId e = 0; e < topo.link_count(); ++e) {
-    const RecoveryResult* plan = planner.plan(e);
+    const LinkId down[] = {e};
+    const RecoveryResult* plan = planner.plan_for(down);
     if (plan == nullptr) continue;
     int whole = 0;
     for (char c : plan->full_profit) whole += c != 0;

@@ -76,7 +76,8 @@ int main() {
 
   const LinkId failed_link = square.find_link(1, 3);  // DC2->DC4
   std::printf("link %s fails!\n", square.link(failed_link).name.c_str());
-  const RecoveryResult* plan = planner.plan(failed_link);
+  const LinkId down[] = {failed_link};
+  const RecoveryResult* plan = planner.plan_for(down);
   if (plan != nullptr) {
     print_allocation(square, catalog, demands, plan->alloc,
                      "Fig 4(b): pre-computed backup allocation");

@@ -53,12 +53,13 @@ Allocation empty_allocation(const TunnelCatalog& catalog, const Demand& d) {
 }
 
 /// Tries to place the whole demand on surviving tunnels within `residual`
-/// (consumed on success). Shortest-surviving-tunnel first.
-bool place_whole(const Topology& topo, const TunnelCatalog& catalog,
-                 const Demand& d, std::span<const LinkId> failed,
-                 std::vector<double>& residual, Allocation& out) {
-  std::vector<double> scratch = residual;
-  Allocation alloc = empty_allocation(catalog, d);
+/// (consumed on success). Shortest-surviving-tunnel first. `out` is the
+/// demand's all-zero allocation and is left all zero on failure; `scratch`
+/// is a buffer reused across calls.
+bool place_whole(const TunnelCatalog& catalog, const Demand& d,
+                 std::span<const LinkId> failed, std::vector<double>& residual,
+                 std::vector<double>& scratch, Allocation& out) {
+  scratch = residual;
   for (std::size_t p = 0; p < d.pairs.size(); ++p) {
     const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
     double remaining = d.pairs[p].mbps;
@@ -70,17 +71,18 @@ bool place_whole(const Topology& topo, const TunnelCatalog& catalog,
       }
       const double f = std::min(cap, remaining);
       if (f <= 1e-9) continue;
-      alloc[p][t] = f;
+      out[p][t] = f;
       remaining -= f;
       for (LinkId e : tunnels[t].links) {
         scratch[static_cast<std::size_t>(e)] -= f;
       }
     }
-    if (remaining > 1e-9) return false;
+    if (remaining > 1e-9) {
+      for (auto& rates : out) std::fill(rates.begin(), rates.end(), 0.0);
+      return false;
+    }
   }
-  (void)topo;
-  residual = std::move(scratch);
-  out = std::move(alloc);
+  residual.swap(scratch);
   return true;
 }
 
@@ -173,98 +175,18 @@ Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
                                    nullptr, nullptr);
 }
 
-RecoveryTemplate build_recovery_template(const Topology& topo,
-                                         const TunnelCatalog& catalog,
-                                         std::span<const Demand> demands) {
-  validate_recovery_inputs(topo, catalog, demands, {});
-  // Identical structure to build_recovery_model_impl with an empty failure
-  // set: every tunnel survives, so every tunnel gets a g variable and every
-  // used link gets a capacity row. Failure sets are later expressed as
-  // bound deltas fixing dead-tunnel g to zero, which yields the same
-  // optimum as rebuilding the reduced per-failure model.
-  RecoveryTemplate tmpl;
-  std::vector<std::vector<RecoveryPairVars>> gvars;
-  tmpl.model = build_recovery_model_impl(topo, catalog, demands, {}, &gvars,
-                                         &tmpl.yvar);
-  tmpl.gvar.resize(gvars.size());
-  for (std::size_t i = 0; i < gvars.size(); ++i) {
-    tmpl.gvar[i].resize(gvars[i].size());
-    for (std::size_t p = 0; p < gvars[i].size(); ++p) {
-      tmpl.gvar[i][p] = std::move(gvars[i][p].var);
-    }
-  }
-  return tmpl;
-}
-
-InstanceDelta recovery_failure_delta(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links) {
-  BATE_ASSERT_MSG(tmpl.gvar.size() == demands.size(),
-                  "recovery: template does not match demand set");
-  InstanceDelta delta;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        if (tunnel_survives(tunnels[t], failed_links)) continue;
-        delta.bounds.push_back({tmpl.gvar[i][p][t], 0.0, 0.0});
-      }
-    }
-  }
-  return delta;
-}
-
-RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links,
-                                     const BranchBoundOptions& options,
-                                     WarmStart* warm) {
-  const InstanceDelta delta =
-      recovery_failure_delta(tmpl, catalog, demands, failed_links);
-  const Solution sol =
-      solve_milp(apply_delta(tmpl.model, delta), options, warm);
-
-  RecoveryResult result;
-  result.solved = sol.status == SolveStatus::kOptimal ||
-                  (sol.status == SolveStatus::kIterationLimit &&
-                   !sol.x.empty());
-  if (!result.solved) return result;
-  result.alloc.reserve(demands.size());
-  result.full_profit.resize(demands.size(), 0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    Allocation alloc = empty_allocation(catalog, d);
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      for (std::size_t t = 0; t < tmpl.gvar[i][p].size(); ++t) {
-        const int v = tmpl.gvar[i][p][t];
-        alloc[p][t] =
-            std::max(0.0, sol.x[static_cast<std::size_t>(v)]) * d.pairs[p].mbps;
-      }
-    }
-    result.alloc.push_back(std::move(alloc));
-    result.full_profit[i] =
-        sol.x[static_cast<std::size_t>(tmpl.yvar[i])] > 0.5 ? 1 : 0;
-  }
-  result.profit = total_profit(demands, result.full_profit);
-  return result;
-}
-
 RecoveryResult recover_optimal(const Topology& topo,
                                const TunnelCatalog& catalog,
                                std::span<const Demand> demands,
                                std::span<const LinkId> failed_links,
-                               const BranchBoundOptions& options,
-                               WarmStart* warm) {
+                               const BranchBoundOptions& options) {
   validate_recovery_inputs(topo, catalog, demands, failed_links);
   std::vector<std::vector<RecoveryPairVars>> gvars;
   std::vector<int> yvar;
   const Model model = build_recovery_model_impl(topo, catalog, demands,
                                                 failed_links, &gvars, &yvar);
 
-  const Solution sol = solve_milp(model, options, warm);
+  const Solution sol = solve_milp(model, options);
 
   RecoveryResult result;
   result.solved = sol.status == SolveStatus::kOptimal ||
@@ -307,25 +229,27 @@ RecoveryResult recover_greedy(const Topology& topo,
   }
 
   // Line 1: descending profit density g_d / sum_k b^k_d.
+  std::vector<double> density(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    density[i] = demands[i].charge / std::max(demands[i].total_mbps(), 1e-9);
+  }
   std::vector<std::size_t> order(demands.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = demands[a].charge / std::max(demands[a].total_mbps(), 1e-9);
-    const double db = demands[b].charge / std::max(demands[b].total_mbps(), 1e-9);
-    return da > db;
+    return density[a] > density[b];
   });
 
   auto residual = surviving_residual(topo, failed_links);
+  std::vector<double> scratch;
   std::vector<std::size_t> full_set;  // F
   double full_set_charge = 0.0;
 
   for (std::size_t idx = 0; idx < order.size(); ++idx) {
     const std::size_t i = order[idx];
     const Demand& d = demands[i];
-    Allocation placed;
-    if (place_whole(topo, catalog, d, failed_links, residual, placed)) {
-      result.alloc[i] = std::move(placed);  // lines 5-9
-      result.full_profit[i] = 1;
+    if (place_whole(catalog, d, failed_links, residual, scratch,
+                    result.alloc[i])) {
+      result.full_profit[i] = 1;  // lines 5-9
       full_set.push_back(i);
       full_set_charge += d.charge;
       continue;
@@ -333,15 +257,16 @@ RecoveryResult recover_greedy(const Topology& topo,
     // Lines 11-17: a single richer demand may evict the accumulated set.
     if (full_set_charge < d.charge) {
       auto fresh = surviving_residual(topo, failed_links);
-      Allocation alone;
-      if (place_whole(topo, catalog, d, failed_links, fresh, alone)) {
+      if (place_whole(catalog, d, failed_links, fresh, scratch,
+                      result.alloc[i])) {
         for (std::size_t j : full_set) {
-          result.alloc[j] = empty_allocation(catalog, demands[j]);
+          for (auto& rates : result.alloc[j]) {
+            std::fill(rates.begin(), rates.end(), 0.0);
+          }
           result.full_profit[j] = 0;
         }
         full_set.assign(1, i);
         full_set_charge = d.charge;
-        result.alloc[i] = std::move(alone);
         result.full_profit[i] = 1;
         residual = std::move(fresh);
       }
@@ -381,8 +306,9 @@ RecoveryResult recover_greedy(const Topology& topo,
 
 namespace {
 
-/// Backup-plan cache outcome (obs: bate_recovery_*). A hit means a failure
-/// lookup found a precomputed plan (exact or single-link fallback).
+/// Backup-plan lookup outcome (obs: bate_recovery_*), counted for down sets
+/// that touch primary traffic. A hit found a plan already computed (a
+/// precomputed plan or the miss memo); a miss ran recover_greedy.
 void record_plan_lookup(bool hit) {
   if (!obs::enabled()) return;
   static obs::Counter& hits =
@@ -414,15 +340,19 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
                   "recovery: allocation set does not match demand set");
   validate_recovery_inputs(*topo_, *catalog_, demands, {});
   demands_.assign(demands.begin(), demands.end());
-  plans_.clear();  // bases_ survives: it chains rounds (see header)
+  plans_.clear();
+  miss_key_.clear();
+  miss_plan_.reset();
 
   // The round's failure sets: the loaded single links, then the most
   // probable loaded pairs.
   const auto usage = link_usage(*topo_, *catalog_, demands, current);
+  loaded_.assign(usage.size(), 0);
   std::vector<LinkId> loaded;
   std::vector<std::vector<LinkId>> failure_sets;
   for (LinkId e = 0; e < topo_->link_count(); ++e) {
     if (usage[static_cast<std::size_t>(e)] <= 1e-9) continue;  // unaffected
+    loaded_[static_cast<std::size_t>(e)] = 1;
     loaded.push_back(e);
     failure_sets.push_back({e});
   }
@@ -444,55 +374,33 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
     }
   }
 
-  if (!optimal_) {
-    // Algorithm 2 is combinatorial: one greedy pass per failure set.
-    for (const auto& failed : failure_sets) {
-      plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_,
-                                            failed));
-    }
-    record_precompute(plans_.size(), obs::now_us() - t0);
-    return;
-  }
-
-  // Optimal plans share one build-once template; each failure set is a
-  // bound delta against it.
-  const RecoveryTemplate tmpl =
-      build_recovery_template(*topo_, *catalog_, demands_);
-  // The first round for a failure set starts cold; every later round
-  // warm-starts from bases_[failed].
+  // Algorithm 2 is combinatorial: one greedy pass per failure set.
   for (const auto& failed : failure_sets) {
-    plans_.emplace(failed,
-                   recover_with_template(tmpl, *catalog_, demands_, failed,
-                                         optimal_options_, &bases_[failed]));
+    plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_, failed));
   }
   record_precompute(plans_.size(), obs::now_us() - t0);
 }
 
-const RecoveryResult* BackupPlanner::plan(LinkId link) const {
-  const auto it = plans_.find(std::vector<LinkId>{link});
-  const RecoveryResult* r = it == plans_.end() ? nullptr : &it->second;
-  record_plan_lookup(r != nullptr);
-  return r;
-}
-
-const RecoveryResult* BackupPlanner::plan_for(
-    std::span<const LinkId> failed) const {
-  if (failed.empty()) return nullptr;
-  std::vector<LinkId> key(failed.begin(), failed.end());
+const RecoveryResult* BackupPlanner::plan_for(std::span<const LinkId> down) {
+  const bool any_loaded =
+      std::any_of(down.begin(), down.end(), [&](LinkId e) {
+        return static_cast<std::size_t>(e) < loaded_.size() &&
+               loaded_[static_cast<std::size_t>(e)] != 0;
+      });
+  if (!any_loaded) return nullptr;  // primary traffic avoids every down link
+  std::vector<LinkId> key(down.begin(), down.end());
   std::sort(key.begin(), key.end());
-  const auto exact = plans_.find(key);
-  if (exact != plans_.end()) {
+  if (const auto exact = plans_.find(key); exact != plans_.end()) {
     record_plan_lookup(true);
     return &exact->second;
   }
-  // Fall back to the single-link plan of the most failure-prone member.
-  LinkId worst = key.front();
-  for (LinkId e : key) {
-    if (topo_->link(e).failure_prob > topo_->link(worst).failure_prob) {
-      worst = e;
-    }
+  const bool memo_hit = miss_plan_.has_value() && key == miss_key_;
+  record_plan_lookup(memo_hit);
+  if (!memo_hit) {
+    miss_plan_ = recover_greedy(*topo_, *catalog_, demands_, key);
+    miss_key_ = std::move(key);
   }
-  return plan(worst);
+  return &*miss_plan_;
 }
 
 }  // namespace bate

@@ -7,10 +7,12 @@
 // multicommodity flow); recover_optimal solves it by branch & bound and
 // recover_greedy implements the 2-approximation of Algorithm 2. Backup
 // allocations are pre-computed per single-link failure (Fig 4) so the
-// controller can react immediately.
+// controller can react immediately; BackupPlanner::plan_for picks the table
+// for whatever set of links is actually down.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,21 +35,13 @@ struct RecoveryResult {
   bool solved = false;
 };
 
-/// Optimal recovery: the profit-maximization MILP (12). `warm`, when
-/// non-null, warm-starts the root relaxation and receives the root's final
-/// basis back — successive solves for the same failure set (BackupPlanner
-/// rounds, periodic re-planning) re-solve a near-identical MILP, so the
-/// basis carries over; a stale basis (the surviving-tunnel variable space
-/// changed) falls back to the cold path with identical results. The
-/// pre-failure *schedule* basis cannot seed this: the recovery MILP lives
-/// in a different variable space (per-surviving-tunnel g plus binary y), so
-/// chaining happens recovery-to-recovery, not schedule-to-recovery.
+/// Optimal recovery: the profit-maximization MILP (12), solved by branch &
+/// bound. Benches and tests use it as the oracle for recover_greedy.
 RecoveryResult recover_optimal(const Topology& topo,
                                const TunnelCatalog& catalog,
                                std::span<const Demand> demands,
                                std::span<const LinkId> failed_links,
-                               const BranchBoundOptions& options = {},
-                               WarmStart* warm = nullptr);
+                               const BranchBoundOptions& options = {});
 
 /// The profit-maximization MILP (12) itself, without solving it. Exposed for
 /// the solver microbench (bench/bench_solver.cpp), which times solve_lp on
@@ -55,46 +49,6 @@ RecoveryResult recover_optimal(const Topology& topo,
 Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
                            std::span<const Demand> demands,
                            std::span<const LinkId> failed_links);
-
-/// Build-once form of the recovery MILP (12) for a fixed demand set: g
-/// variables for EVERY tunnel (not just survivors) and capacity rows for
-/// every used link at full capacity. A concrete failure set is expressed as
-/// an InstanceDelta (recovery_failure_delta) that fixes the g of each dead
-/// tunnel to zero; the failed links' capacity rows then only contain fixed
-/// columns and drop out in presolve. The optimum is identical to the
-/// per-failure model build_recovery_model produces; BackupPlanner's optimal
-/// path builds the template once per round instead of one model per
-/// failure set.
-struct RecoveryTemplate {
-  Model model;
-  /// gvar[demand][pair position][tunnel] = variable index.
-  std::vector<std::vector<std::vector<int>>> gvar;
-  /// Binary y per demand (objective refund_fraction * charge).
-  std::vector<int> yvar;
-};
-
-RecoveryTemplate build_recovery_template(const Topology& topo,
-                                         const TunnelCatalog& catalog,
-                                         std::span<const Demand> demands);
-
-/// The delta expressing `failed_links` against the template: one bound edit
-/// per tunnel that crosses a failed link, fixing its g to [0, 0].
-InstanceDelta recovery_failure_delta(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links);
-
-/// Optimal recovery through the template: applies the failure delta and
-/// solves the MILP (same optimum as recover_optimal, without rebuilding the
-/// model). `warm` chains the root basis across calls exactly like
-/// recover_optimal — and because every failure set shares the template's
-/// shape, a cached basis stays compatible across sets and rounds.
-RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links,
-                                     const BranchBoundOptions& options = {},
-                                     WarmStart* warm = nullptr);
 
 /// Algorithm 2: greedy 2-approximation. Demands are served whole in
 /// descending profit density g_d / sum_k b^k_d; a single large demand can
@@ -110,34 +64,30 @@ RecoveryResult recover_greedy(const Topology& topo,
 /// easily extended to deal with concurrent failures" (fn. 6); setting
 /// `concurrent_pairs > 0` additionally plans for the riskiest pairs of
 /// loaded links.
+///
+/// plan_for() is the one failure rule: the live controller and the
+/// simulator both ask it which table to enforce for the links currently
+/// down (DESIGN.md Sec 9.5).
 class BackupPlanner {
  public:
   BackupPlanner(const Topology& topo, const TunnelCatalog& catalog,
                 int concurrent_pairs = 0)
       : topo_(&topo), catalog_(&catalog), concurrent_pairs_(concurrent_pairs) {}
 
-  /// Computes one backup plan per loaded link, plus plans for the
-  /// `concurrent_pairs` most probable loaded link pairs. Greedy by default;
-  /// see use_optimal_plans().
+  /// Computes one greedy backup plan (Algorithm 2) per loaded link, plus
+  /// plans for the `concurrent_pairs` most probable loaded link pairs, and
+  /// forgets the previous round's plans and miss memo.
   void precompute(std::span<const Demand> demands,
                   std::span<const Allocation> current);
 
-  /// Switches precompute() from the greedy 2-approximation to the optimal
-  /// recovery MILP under the given branch & bound budget. Each failure
-  /// set's root basis is cached across precompute() rounds: periodic
-  /// re-planning re-solves a near-identical MILP per failure set (the
-  /// demand set drifts slowly), so the root relaxation warm-starts; a
-  /// stale basis falls back to the cold path with identical plans.
-  void use_optimal_plans(const BranchBoundOptions& options) {
-    optimal_ = true;
-    optimal_options_ = options;
-  }
-
-  /// The plan for a single failed link; nullptr when none was pre-computed.
-  const RecoveryResult* plan(LinkId link) const;
-  /// Best pre-computed plan for a failed link set: exact match first, then
-  /// the single-link plan of the most failure-prone member, else nullptr.
-  const RecoveryResult* plan_for(std::span<const LinkId> failed) const;
+  /// The table to enforce while exactly the links in `down` are down:
+  ///  - the precomputed plan for the whole set, when there is one;
+  ///  - else nullptr (the primary allocations stay live) when no down link
+  ///    carries primary traffic;
+  ///  - else recover_greedy over demands() for the whole set, kept in a
+  ///    one-slot memo (the last miss) until the next precompute().
+  /// A returned plan stays valid until the next precompute() or plan_for().
+  const RecoveryResult* plan_for(std::span<const LinkId> down);
   std::size_t plan_count() const { return plans_.size(); }
   /// The demand set the plans were computed for (index-aligned with each
   /// plan's allocations).
@@ -147,14 +97,14 @@ class BackupPlanner {
   const Topology* topo_;
   const TunnelCatalog* catalog_;
   int concurrent_pairs_;
-  bool optimal_ = false;
-  BranchBoundOptions optimal_options_;
   std::vector<Demand> demands_;
+  /// loaded_[e] != 0 iff link e carried primary traffic at precompute().
+  std::vector<char> loaded_;
   std::map<std::vector<LinkId>, RecoveryResult> plans_;
-  /// Root bases chained across precompute() rounds, keyed by failure set.
-  /// Survives plans_.clear() deliberately — the cache's whole value is the
-  /// previous round's basis.
-  std::map<std::vector<LinkId>, WarmStart> bases_;
+  /// The last miss: one slot, not a per-set cache, so memory stays bounded
+  /// however many distinct down sets a failure storm visits.
+  std::vector<LinkId> miss_key_;
+  std::optional<RecoveryResult> miss_plan_;
 };
 
 }  // namespace bate

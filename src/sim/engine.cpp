@@ -24,7 +24,7 @@ std::vector<std::vector<double>> deliver_second(
     const Topology& topo, const TunnelCatalog& catalog,
     const std::vector<ActiveDemand>& active,
     const std::vector<LinkId>& failed, RescalePolicy rescale,
-    const BackupPlanner* planner, double* offered_out, double* delivered_out) {
+    BackupPlanner& planner, double* offered_out, double* delivered_out) {
   auto link_down = [&](LinkId e) {
     return std::binary_search(failed.begin(), failed.end(), e);
   };
@@ -35,16 +35,14 @@ std::vector<std::vector<double>> deliver_second(
     return true;
   };
 
-  // Map active demand -> backup-plan row when a plan applies this second.
-  const RecoveryResult* plan = nullptr;
+  // Map active demand -> backup-plan row when a plan applies this second:
+  // the same failure rule as the live controller (BackupPlanner::plan_for).
+  const RecoveryResult* plan =
+      rescale == RescalePolicy::kBackup ? planner.plan_for(failed) : nullptr;
   std::map<DemandId, std::size_t> plan_index;
-  if (rescale == RescalePolicy::kBackup && planner != nullptr &&
-      !failed.empty()) {
-    plan = planner->plan_for(failed);
-    if (plan != nullptr) {
-      for (std::size_t i = 0; i < planner->demands().size(); ++i) {
-        plan_index[planner->demands()[i].id] = i;
-      }
+  if (plan != nullptr) {
+    for (std::size_t i = 0; i < planner.demands().size(); ++i) {
+      plan_index[planner.demands()[i].id] = i;
     }
   }
 
@@ -278,7 +276,7 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
       double delivered_total = 0.0;
       const auto delivered =
           deliver_second(topo, catalog, active, failed, policy.rescale,
-                         &planner, &offered, &delivered_total);
+                         planner, &offered, &delivered_total);
       if (offered > 1e-9) {
         metrics.per_second_loss_ratio.push_back(
             std::max(0.0, 1.0 - delivered_total / offered));

@@ -102,9 +102,9 @@ struct BoundDelta {
 
 /// One scenario instance of a template Model: the template with these bound
 /// edits applied. BATE's scenario LPs (one per availability pattern in the
-/// scheduler's capability precompute, one per failure set in
-/// BackupPlanner) all share a template and differ only in which tunnels are
-/// dead — a dead tunnel's flow variable fixed to [0, 0].
+/// scheduler's capability precompute) all share a template and differ only
+/// in which tunnels are dead — a dead tunnel's flow variable fixed to
+/// [0, 0].
 struct InstanceDelta {
   std::vector<BoundDelta> bounds;
 };

@@ -262,11 +262,24 @@ void Controller::flush_batch(Peer& peer, const FrameBatch& batch) {
 
 void Controller::run_scheduling_round() {
   admission_.reschedule();
-  std::vector<Allocation> current = admission_.allocations();
-  // precompute() rebuilds the planner's plan table, so any previously
-  // activated backup plan pointer is stale from here on.
-  active_plan_ = nullptr;
-  planner_.precompute(admission_.admitted(), current);
+  if (config_.precompute_backup) {
+    planner_.precompute(admission_.admitted(), admission_.allocations());
+  }
+  select_live_table();
+}
+
+void Controller::select_live_table() {
+  const std::vector<LinkId> down(down_links_.begin(), down_links_.end());
+  active_plan_ = planner_.plan_for(down);
+  BATE_DCHECK_MSG(
+      active_plan_ == nullptr ||
+          std::equal(planner_.demands().begin(), planner_.demands().end(),
+                     admission_.admitted().begin(),
+                     admission_.admitted().end(),
+                     [](const Demand& a, const Demand& b) {
+                       return a.id == b.id;
+                     }),
+      "controller: backup plan covers a stale demand set");
 }
 
 void Controller::handle_message(Peer& peer, const Message& msg,
@@ -298,26 +311,35 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     }
     admission_.remove(withdraw->id);
     run_scheduling_round();
-    broadcast_allocations(false, nullptr);
+    broadcast_live_table();
     if (gone) {
-      // Empty rows tell every broker to drop the withdrawn demand's rows.
+      // Empty rows tell every broker to drop the withdrawn demand's rows;
+      // they carry the live table's backup flag like the rows before them.
       const Allocation empty(gone->pairs.size());
-      broadcast_rows(false, {&*gone, 1}, {&empty, 1});
+      broadcast_rows(active_plan_ != nullptr, {&*gone, 1}, {&empty, 1});
     }
     refresh_slo(obs::now_us(), 0);
     return;
   }
   if (const auto* status = std::get_if<LinkStatusMsg>(&msg)) {
-    if (!status->up) {
+    // A link id from the wire reaches the recovery planner, which asserts
+    // on links outside the topology.
+    if (status->link < 0 ||
+        status->link >= scheduler_.topology().link_count()) {
+      BATE_LOG_EVERY_N(kWarn, "controller", 1024)
+          << "ignoring report for unknown link " << status->link;
+      return;
+    }
+    // Down and up alike: the live table follows the whole down set, so a
+    // partial repair keeps a plan for the links still down.
+    if (status->up) {
+      down_links_.erase(status->link);
+    } else {
       ControllerMetrics::get().failures.inc();
       down_links_.insert(status->link);
-      active_plan_ = planner_.plan(status->link);
-      broadcast_allocations(true, active_plan_);
-    } else {
-      down_links_.erase(status->link);
-      active_plan_ = nullptr;
-      broadcast_allocations(false, nullptr);
     }
+    select_live_table();
+    broadcast_live_table();
     refresh_slo(obs::now_us(), 0);
     return;
   }
@@ -471,24 +493,23 @@ void Controller::drain_admission_queue() {
     admission_.reschedule();
     rescheduled = true;
   }
-  // An append-only tick leaves every earlier row's allocation, the active
-  // table and down_links_ as the last refresh saw them; read before the
-  // precompute below clears active_plan_.
-  const bool append_only = !rescheduled && !config_.precompute_backup &&
-                           active_plan_ == nullptr;
+  const bool was_backup = active_plan_ != nullptr;
   if (config_.precompute_backup) {
-    active_plan_ = nullptr;  // precompute invalidates plan pointers
     planner_.precompute(admission_.admitted(), admission_.allocations());
   }
-  if (rescheduled) {
-    // A reschedule may have moved anyone's rates: full broadcast of the
-    // primary allocations — any activated backup plan is superseded.
-    active_plan_ = nullptr;
-    broadcast_allocations(false, nullptr);
-  } else {
-    // Greedy admissions appended to the tail without touching existing
-    // allocations: delta-broadcast just the new rows.
+  // A failure outlives the tick: the new plans cover the new rows.
+  select_live_table();
+  // A reschedule may have moved anyone's rates, and a backup table (before
+  // or after this tick) covers every row: both need a full broadcast. A
+  // primary table that only gained greedy rows leaves every earlier row's
+  // allocation, the live table and down_links_ as the last refresh saw
+  // them, so only the new rows are sent and refreshed.
+  const bool append_only =
+      !rescheduled && !was_backup && active_plan_ == nullptr;
+  if (append_only) {
     broadcast_new_allocations(result.first_new_index);
+  } else {
+    broadcast_live_table();
   }
   refresh_slo(obs::now_us(), append_only ? result.first_new_index : 0);
 }
@@ -542,17 +563,22 @@ void Controller::broadcast_new_allocations(std::size_t first_new) {
 }
 
 void Controller::send_allocation_snapshot(Peer& peer) {
-  const int sent = send_allocations_to(peer, false, admission_.admitted(),
-                                       admission_.allocations());
+  const LiveTable live = live_table();
+  const int sent =
+      send_allocations_to(peer, live.backup, live.demands, live.allocs);
   ControllerMetrics::get().updates.inc(sent);
 }
 
-void Controller::broadcast_allocations(bool backup,
-                                       const RecoveryResult* plan) {
-  const bool use_plan = backup && plan != nullptr;
-  broadcast_rows(backup,
-                 use_plan ? planner_.demands() : admission_.admitted(),
-                 use_plan ? plan->alloc : admission_.allocations());
+Controller::LiveTable Controller::live_table() const {
+  if (active_plan_ == nullptr) {
+    return {false, admission_.admitted(), admission_.allocations()};
+  }
+  return {true, planner_.demands(), active_plan_->alloc};
+}
+
+void Controller::broadcast_live_table() {
+  const LiveTable live = live_table();
+  broadcast_rows(live.backup, live.demands, live.allocs);
 }
 
 void Controller::refresh_slo(std::int64_t now_us, std::size_t first_row) {
@@ -569,9 +595,9 @@ void Controller::refresh_slo(std::int64_t now_us, std::size_t first_row) {
   // bit and re-deriving them would change nothing.
   obs::Span span("controller.refresh_slo");
   const std::int64_t t0 = obs::now_us();
-  const bool backup = active_plan_ != nullptr;
-  const auto& demands = backup ? planner_.demands() : admission_.admitted();
-  const auto& allocs = backup ? active_plan_->alloc : admission_.allocations();
+  const LiveTable live = live_table();
+  const std::span<const Demand> demands = live.demands;
+  const std::span<const Allocation> allocs = live.allocs;
   const TunnelCatalog& catalog = scheduler_.catalog();
   const std::size_t n = std::min(demands.size(), allocs.size());
   for (std::size_t i = first_row; i < n; ++i) {

@@ -5,8 +5,8 @@
 // The controller runs its epoll loop on a dedicated thread. Users connect,
 // submit demands and receive admission replies; brokers connect, introduce
 // themselves with Hello{role="broker"} and then receive allocation updates
-// (normal after every scheduling round, backup when a broker reports a link
-// down).
+// (normal after every scheduling round; backup while the links brokers
+// report down need a backup plan, BackupPlanner::plan_for).
 //
 // Admission pipeline (DESIGN.md Sec 10): SubmitDemand frames are enqueued
 // (bounded, per-tenant token buckets at ingress, overflow shed with
@@ -80,9 +80,11 @@ struct ControllerConfig {
   /// the new rows are delta-broadcast — the high-churn setting, since a
   /// reschedule LP grows with the admitted set (DESIGN.md Sec 10).
   bool reschedule_after_batch = true;
-  /// Recompute backup plans after every batch containing admissions.
-  /// bench_system disables it: precompute cost grows with the admitted set
-  /// and the churn bench measures the admission path, not recovery.
+  /// Recompute backup plans after every batch containing admissions and
+  /// every withdraw. Off, the planner stays empty and link events keep the
+  /// primary table live. bench_system disables it: precompute cost grows
+  /// with the admitted set and the churn bench measures the admission path,
+  /// not recovery.
   bool precompute_backup = true;
   /// Period (ms) of the SLO time-series sampler that records the registry
   /// snapshot into the ring-buffer store; <= 0 disables sampling. The
@@ -165,9 +167,22 @@ class Controller {
                           std::span<const Demand> demands,
                           std::span<const Allocation> allocs,
                           const FrameContext& trace = {});
-  /// Current (non-backup) allocations to a newly introduced broker.
+  /// The live table to a newly introduced broker.
   void send_allocation_snapshot(Peer& peer);
-  void broadcast_allocations(bool backup, const RecoveryResult* plan);
+  /// The live allocation table: the active plan's rows, flagged backup, or
+  /// the primary rows when no plan is live.
+  struct LiveTable {
+    bool backup;
+    std::span<const Demand> demands;
+    std::span<const Allocation> allocs;
+  };
+  LiveTable live_table() const;
+  /// Points active_plan_ at planner_.plan_for(down_links_): the one failure
+  /// rule (DESIGN.md Sec 5.5). Run after every change to the planner, the
+  /// admitted set or down_links_.
+  void select_live_table();
+  /// Full broadcast of live_table().
+  void broadcast_live_table();
   /// Delta broadcast: only admitted()[first_new..] rows, after a batch that
   /// appended greedy admissions without rescheduling anyone else.
   void broadcast_new_allocations(std::size_t first_new);
@@ -175,14 +190,16 @@ class Controller {
   /// span; an empty row removes it at the broker.
   void broadcast_rows(bool backup, std::span<const Demand> demands,
                       std::span<const Allocation> allocs);
+  /// Withdraw path: reschedule, precompute when precompute_backup is on,
+  /// then re-select the live table.
   void run_scheduling_round();
 
   /// Re-derives the satisfied bit of rows [first_row, n) of the active
   /// allocation table under the current down-link set, and feeds the SLO
   /// ledger (degrade/recover transitions on change only). A tick that only
   /// appended greedy rows to the primary table passes its first new row;
-  /// withdrawals, link events and ticks that rescheduled or precomputed
-  /// pass 0 (DESIGN.md Sec 9.4).
+  /// withdrawals, link events and ticks that rescheduled or had a backup
+  /// table live pass 0 (DESIGN.md Sec 9.4).
   void refresh_slo(std::int64_t now_us, std::size_t first_row);
   /// Samples the registry into the time-series store once per
   /// slo_sample_period_ms (tick handler).
@@ -213,7 +230,9 @@ class Controller {
   /// Links currently reported down by brokers (loop thread only).
   std::set<LinkId> down_links_;
   /// Backup plan currently broadcast, or nullptr when primary allocations
-  /// are live. Invalidated (cleared) by every planner_.precompute().
+  /// are live. Re-selected after every planner_.precompute(), which
+  /// invalidates it. The planner is empty (precompute_backup off) or holds
+  /// exactly admission_.admitted(), so a live plan covers every row.
   const RecoveryResult* active_plan_ = nullptr;
   std::int64_t next_sample_us_ = 0;
 

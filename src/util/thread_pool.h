@@ -1,6 +1,6 @@
-// Small work-stealing thread pool for embarrassingly parallel loops:
-// Campaign::run's Monte-Carlo reps and the scheduler's per-pair pattern
-// work (TrafficScheduler's constructor, precompute_pattern_capabilities).
+// Small work-stealing thread pool for embarrassingly parallel loops: the
+// scheduler's per-pair pattern work (TrafficScheduler's constructor,
+// precompute_pattern_capabilities).
 //
 // Each worker owns a deque guarded by its own mutex: the owner pushes and
 // pops at the back (LIFO, cache-warm), thieves steal from the front (FIFO,
@@ -15,7 +15,7 @@
 //  * body(i) runs exactly once per index, on an unspecified thread, in an
 //    unspecified order. Bit-identical reductions are the CALLER's job:
 //    write results into a pre-sized slot array indexed by i and reduce
-//    serially afterwards (see Campaign::run).
+//    serially afterwards.
 //  * The first exception thrown by any body is rethrown on the caller;
 //    remaining indices are skipped (claimed but not executed).
 #pragma once

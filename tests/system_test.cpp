@@ -4,6 +4,7 @@
 // activation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -187,6 +188,48 @@ struct SystemAppendOnlyFixture : SystemFixture {
   }
 };
 
+/// Backup plans on, post-batch reschedule off: a greedy admission leaves
+/// every earlier row's allocation as it was.
+struct SystemGreedyTickFixture : SystemFixture {
+  SystemGreedyTickFixture() { config.reschedule_after_batch = false; }
+};
+
+/// Links crossed by a tunnel that carries traffic at `broker` for one of the
+/// given single-pair demands.
+std::set<LinkId> loaded_links(const Broker& broker,
+                              const TunnelCatalog& catalog,
+                              const std::vector<Demand>& demands) {
+  std::set<LinkId> links;
+  for (const Demand& d : demands) {
+    const int pair = d.pairs[0].pair;
+    const auto rates = broker.enforced_rates(d.id, pair);
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+      if (rates[t] <= 1e-6) continue;
+      const auto& hops = catalog.tunnels(pair)[t].links;
+      links.insert(hops.begin(), hops.end());
+    }
+  }
+  return links;
+}
+
+/// Largest rate `broker` enforces, over the given demands, on a tunnel that
+/// crosses `link`.
+double rate_across(const Broker& broker, const TunnelCatalog& catalog,
+                   const std::vector<Demand>& demands, LinkId link) {
+  double worst = 0.0;
+  for (const Demand& d : demands) {
+    const int pair = d.pairs[0].pair;
+    const auto rates = broker.enforced_rates(d.id, pair);
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+      const auto& hops = catalog.tunnels(pair)[t].links;
+      if (std::find(hops.begin(), hops.end(), link) != hops.end()) {
+        worst = std::max(worst, rates[t]);
+      }
+    }
+  }
+  return worst;
+}
+
 TEST_F(SystemFixture, SubmitAdmitAndEnforce) {
   Broker broker(0, controller->port());
   broker.start();
@@ -288,11 +331,72 @@ TEST_F(SystemFixture, LinkFailureActivatesBackup) {
   EXPECT_TRUE(wait_for_broker(broker, [&] { return broker.backup_active(); }));
   const auto stats = controller->stats();
   EXPECT_EQ(stats.link_failures_handled, 1);
+  // A report naming no link of the topology is ignored, not planned for.
+  broker.report_link(topo.link_count() + 5, false);
 
   // Repair: normal allocations are re-broadcast.
   broker.report_link(used, true);
   EXPECT_TRUE(
       wait_for_broker(broker, [&] { return !broker.backup_active(); }));
+  EXPECT_EQ(controller->stats().link_failures_handled, 1);
+  broker.stop();
+}
+
+TEST_F(SystemFixture, PartialRepairKeepsPlanForLinksStillDown) {
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  const std::vector<Demand> demands = {make_demand(1, 0, 300.0, 0.99),
+                                       make_demand(2, 7, 300.0, 0.99)};
+  for (const Demand& d : demands) ASSERT_TRUE(user.submit(d));
+  ASSERT_TRUE(wait_for_broker(broker, [&] {
+    return broker.enforced_total(1, 0) > 0.0 &&
+           broker.enforced_total(2, 7) > 0.0;
+  }));
+  const std::set<LinkId> loaded = loaded_links(broker, catalog, demands);
+  ASSERT_GE(loaded.size(), 2u);
+  const LinkId a = *loaded.begin();
+  const LinkId b = *loaded.rbegin();
+  ASSERT_GT(rate_across(broker, catalog, demands, b), 1e-6);
+
+  // Fail a, then b, then repair a. Every link event is one full broadcast
+  // of both rows; after the third, b is the only link down.
+  const int base = broker.updates_received();
+  broker.report_link(a, false);
+  broker.report_link(b, false);
+  broker.report_link(a, true);
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.updates_received() >= base + 3 * 2; }));
+  EXPECT_TRUE(broker.backup_active());
+  EXPECT_LE(rate_across(broker, catalog, demands, b), 1e-9);
+
+  // The last repair restores the primary table.
+  broker.report_link(b, true);
+  EXPECT_TRUE(
+      wait_for_broker(broker, [&] { return !broker.backup_active(); }));
+  broker.stop();
+}
+
+TEST_F(SystemGreedyTickFixture, SubmitDuringFailureKeepsPlanLive) {
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  std::vector<Demand> demands = {make_demand(1, 0, 300.0, 0.99)};
+  ASSERT_TRUE(user.submit(demands[0]));
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(1, 0) > 0.0; }));
+  const LinkId a = *loaded_links(broker, catalog, demands).begin();
+  broker.report_link(a, false);
+  ASSERT_TRUE(wait_for_broker(broker, [&] { return broker.backup_active(); }));
+
+  // A best-effort admission during the failure: the tick re-plans for the
+  // down link over both demands and broadcasts the plan, the new row last.
+  demands.push_back(make_demand(2, 7, 50.0, 0.0));
+  ASSERT_TRUE(user.submit(demands[1]));
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(2, 7) > 0.0; }));
+  EXPECT_TRUE(broker.backup_active());
+  EXPECT_LE(rate_across(broker, catalog, demands, a), 1e-9);
   broker.stop();
 }
 
@@ -837,6 +941,48 @@ TEST_F(SystemAppendOnlyFixture, AppendTickRefreshesOnlyNewRows) {
            state_of(ledger_row(payload, 5)) == "recovered";
   })) << payload;
   EXPECT_EQ(state_of(ledger_row(payload, 2)), "allocated");
+  broker.stop();
+}
+
+TEST_F(SystemAppendOnlyFixture, WithdrawLeavesNoStalePlan) {
+  // With backup plans off, a withdraw must not plan either: a plan over the
+  // demands admitted before a later append would leave the appended row
+  // out of both the broadcast and the SLO refresh.
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  const std::vector<Demand> a = {make_demand(1, 0, 50.0, 0.0)};
+  ASSERT_TRUE(user.submit(a[0]));
+  ASSERT_TRUE(user.submit(make_demand(2, 7, 50.0, 0.0)));  // B
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(2, 7) > 0.0; }));
+  user.withdraw(2);
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_rates(2, 7).empty(); }));
+  ASSERT_TRUE(user.submit(make_demand(3, 0, 1.0, 0.0)));  // C, appended
+
+  // Every link of pair 0 goes down, one that carries A last: a plan for it
+  // over the demands of the withdraw's round would be the live table.
+  const LinkId last = *loaded_links(broker, catalog, a).begin();
+  std::vector<LinkId> links;
+  for (const Tunnel& t : catalog.tunnels(0)) {
+    for (const LinkId l : t.links) {
+      if (l != last &&
+          std::find(links.begin(), links.end(), l) == links.end()) {
+        links.push_back(l);
+      }
+    }
+  }
+  links.push_back(last);
+  for (const LinkId l : links) broker.report_link(l, false);
+  ASSERT_TRUE(wait_for([&] {
+    return controller->stats().link_failures_handled ==
+           static_cast<int>(links.size());
+  }));
+  const std::string payload = user.slo("ledger");
+  EXPECT_EQ(state_of(ledger_row(payload, 2)), "withdrawn") << payload;
+  EXPECT_EQ(state_of(ledger_row(payload, 1)), "degraded") << payload;
+  EXPECT_EQ(state_of(ledger_row(payload, 3)), "degraded") << payload;
   broker.stop();
 }
 
