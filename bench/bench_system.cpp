@@ -220,19 +220,19 @@ ControllerConfig slo_controller_config() {
   return cfg;
 }
 
-/// Takes `count` distinct links down — overlapping, not one at a time — then
-/// repairs them, pausing `dwell_ms` after every report. The controller
-/// enforces the backup plan for the whole down set (BackupPlanner::plan_for),
-/// so a demand degrades only when the down links leave it too little
-/// surviving capacity. With links 0-2 of testbed6 and the 0.1 Mbps slo
-/// demands, every demand keeps a surviving tunnel and none degrades.
-void flap_links(Broker& b, int count, int dwell_ms) {
-  for (int i = 0; i < count; ++i) {
-    b.report_link(static_cast<LinkId>(i), false);
+/// Takes `links` down — overlapping, not one at a time — then repairs them,
+/// pausing `dwell_ms` after every report. The controller enforces the
+/// backup plan for the whole down set (BackupPlanner::plan_for), so a
+/// demand degrades only when the down links leave it too little surviving
+/// capacity: a down set that leaves every pair a surviving tunnel (links
+/// 0-2 of testbed6, say) degrades none of the 0.1 Mbps slo demands.
+void flap_links(Broker& b, const std::vector<LinkId>& links, int dwell_ms) {
+  for (const LinkId link : links) {
+    b.report_link(link, false);
     std::this_thread::sleep_for(std::chrono::milliseconds(dwell_ms));
   }
-  for (int i = 0; i < count; ++i) {
-    b.report_link(static_cast<LinkId>(i), true);
+  for (const LinkId link : links) {
+    b.report_link(link, true);
     std::this_thread::sleep_for(std::chrono::milliseconds(dwell_ms));
   }
 }
@@ -366,7 +366,11 @@ SloCaseResult run_slo_case(const Topology& topo, const TunnelCatalog& catalog,
     }
     res.admitted = static_cast<long>(admitted_ids.size());
 
-    flap_links(b0, /*count=*/3, /*dwell_ms=*/40);
+    // Every egress link of DC6 (L7 and L8 towards DC5 and DC1): while both
+    // are down, the pairs out of DC6 have no surviving tunnel, so their
+    // demands degrade and recover, and the crosscheck replays logs with
+    // those transitions.
+    flap_links(b0, topo.out_links(5), /*dwell_ms=*/40);
 
     // Withdraw a tail slice: those meters must freeze at finalize time.
     const std::size_t withdrawn = admitted_ids.size() / 10;
@@ -428,7 +432,7 @@ int serve_stack(const Topology& topo, const TunnelCatalog& catalog,
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
   while (std::chrono::steady_clock::now() < deadline) {
-    flap_links(b0, /*count=*/2, /*dwell_ms=*/50);
+    flap_links(b0, {0, 1}, /*dwell_ms=*/50);
   }
 
   controller.stop();

@@ -98,14 +98,11 @@ void Controller::start() {
   // add_reader from this (non-loop) thread is queued and applied at the top
   // of the loop thread's first run_once (net/event_loop.h contract).
   loop_.add_reader(listener_->fd(), [this] { on_accept(); });
-  // The drain runs after every loop iteration — under load a "tick" is one
+  // The tick runs after every loop iteration — under load a "tick" is one
   // epoll round (so the batch is whatever arrived since the last drain) and
   // tick_ms only bounds latency when the loop is otherwise idle.
   thread_ = std::thread([this] {
-    loop_.run(config_.tick_ms, [this] {
-      drain_admission_queue();
-      sample_slo_series(obs::now_us());
-    });
+    loop_.run(config_.tick_ms, [this] { on_tick(); });
   });
   BATE_LOG(kInfo, "controller") << "listening on port " << port_;
 }
@@ -260,15 +257,53 @@ void Controller::flush_batch(Peer& peer, const FrameBatch& batch) {
   }
 }
 
-void Controller::run_scheduling_round() {
+void Controller::on_tick() {
+  // Settle: every withdraw of this tick arrived before the drain, so one
+  // round over the reduced set gives the walk the allocations a round per
+  // withdraw would have left. The walk's own post-batch round does not
+  // replace it: the walk's greedy steps read these allocations.
+  const bool removed = !withdrawn_.empty();
+  if (removed) admission_.reschedule();
+  if (queued_ > 0) {
+    drain_admission_queue(removed);
+  } else if (removed) {
+    publish(true, 0);
+  }
+  sample_slo_series(obs::now_us());
+}
+
+void Controller::settle() {
+  if (withdrawn_.empty()) return;
   admission_.reschedule();
+  publish(true, 0);
+}
+
+void Controller::publish(bool rescheduled, std::size_t first_new) {
+  const std::vector<Demand> removed = std::exchange(withdrawn_, {});
+  const bool was_backup = active_plan_ != nullptr;
   if (config_.precompute_backup) {
     planner_.precompute(admission_.admitted(), admission_.allocations());
   }
+  // A failure outlives the tick: the new plans cover the new rows.
   select_live_table();
+  // A reschedule may have moved anyone's rates, and a backup table (before
+  // or after this publish) covers every row: both need a full broadcast, as
+  // do removal rows. A primary table that only gained greedy rows leaves
+  // every earlier row's allocation, the live table and down_links_ as the
+  // last refresh saw them, so only the new rows are sent and refreshed.
+  const bool append_only = removed.empty() && !rescheduled && !was_backup &&
+                           active_plan_ == nullptr;
+  if (append_only) {
+    broadcast_new_allocations(first_new);
+  } else {
+    broadcast_live_table(removed);
+  }
+  refresh_slo(obs::now_us(), append_only ? first_new : 0);
 }
 
 void Controller::select_live_table() {
+  BATE_DCHECK_MSG(withdrawn_.empty(),
+                  "controller: live table selected over unsettled removals");
   const std::vector<LinkId> down(down_links_.begin(), down_links_.end());
   active_plan_ = planner_.plan_for(down);
   BATE_DCHECK_MSG(
@@ -291,7 +326,10 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     // broadcast (its Hello races with the first SubmitDemand on a different
     // connection). Hand the late joiner the current allocation snapshot so
     // its enforcer never starts from a stale void.
-    if (peer.role == "broker") send_allocation_snapshot(peer);
+    if (peer.role == "broker") {
+      settle();
+      send_allocation_snapshot(peer);
+    }
     return;
   }
   if (const auto* submit = std::get_if<SubmitDemandMsg>(&msg)) {
@@ -303,22 +341,17 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     // the queued entry; without this the admission would land after the
     // withdraw and leak the demand.
     purge_queue_for_demand(withdraw->id);
-    const std::int64_t now = obs::now_us();
-    ledger_.withdraw(withdraw->id, now);
-    std::optional<Demand> gone;
-    for (const Demand& d : admission_.admitted()) {
-      if (d.id == withdraw->id) gone = d;
+    ledger_.withdraw(withdraw->id, obs::now_us());
+    // The round and the broadcast of the removal wait for the tick (or the
+    // next settle()); an id that was never admitted costs neither.
+    const auto& admitted = admission_.admitted();
+    const auto gone =
+        std::find_if(admitted.begin(), admitted.end(),
+                     [&](const Demand& d) { return d.id == withdraw->id; });
+    if (gone != admitted.end()) {
+      withdrawn_.push_back(*gone);
+      admission_.remove(withdraw->id);
     }
-    admission_.remove(withdraw->id);
-    run_scheduling_round();
-    broadcast_live_table();
-    if (gone) {
-      // Empty rows tell every broker to drop the withdrawn demand's rows;
-      // they carry the live table's backup flag like the rows before them.
-      const Allocation empty(gone->pairs.size());
-      broadcast_rows(active_plan_ != nullptr, {&*gone, 1}, {&empty, 1});
-    }
-    refresh_slo(obs::now_us(), 0);
     return;
   }
   if (const auto* status = std::get_if<LinkStatusMsg>(&msg)) {
@@ -330,6 +363,7 @@ void Controller::handle_message(Peer& peer, const Message& msg,
           << "ignoring report for unknown link " << status->link;
       return;
     }
+    settle();
     // Down and up alike: the live table follows the whole down set, so a
     // partial repair keeps a plan for the links still down.
     if (status->up) {
@@ -344,6 +378,9 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     return;
   }
   if (const auto* req = std::get_if<StatsRequestMsg>(&msg)) {
+    // A stats or SLO round trip is a fence: its reply follows the publish
+    // of everything the same connection sent before it.
+    settle();
     const std::string format =
         req->format.empty() ? "prometheus" : req->format;
     // single-shot: the stats scrape protocol predates request_id pipelining
@@ -351,6 +388,7 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     return;
   }
   if (const auto* slo = std::get_if<SloRequestMsg>(&msg)) {
+    settle();
     const std::string format = slo->format.empty() ? "json" : slo->format;
     // single-shot: SLO scrapes are polled, never pipelined
     send_to(peer, SloReplyMsg{format,
@@ -404,8 +442,7 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
   if (obs::enabled()) m.queue_depth.set(static_cast<double>(queued_));
 }
 
-void Controller::drain_admission_queue() {
-  if (queued_ == 0) return;
+void Controller::drain_admission_queue(bool removed) {
   auto& m = ControllerMetrics::get();
 
   // Round-robin across tenants: one pending per tenant per lap until the
@@ -485,43 +522,37 @@ void Controller::drain_admission_queue() {
     }
   }
 
-  if (!any_admitted) return;
-  bool rescheduled = result.rescheduled;
-  if (!rescheduled && config_.reschedule_after_batch) {
+  bool rescheduled = removed || result.rescheduled;
+  if (any_admitted && !result.rescheduled && config_.reschedule_after_batch) {
     // One scheduling round per batch with admissions — the pre-pipeline
     // behaviour ran one per request.
     admission_.reschedule();
     rescheduled = true;
   }
-  const bool was_backup = active_plan_ != nullptr;
-  if (config_.precompute_backup) {
-    planner_.precompute(admission_.admitted(), admission_.allocations());
-  }
-  // A failure outlives the tick: the new plans cover the new rows.
-  select_live_table();
-  // A reschedule may have moved anyone's rates, and a backup table (before
-  // or after this tick) covers every row: both need a full broadcast. A
-  // primary table that only gained greedy rows leaves every earlier row's
-  // allocation, the live table and down_links_ as the last refresh saw
-  // them, so only the new rows are sent and refreshed.
-  const bool append_only =
-      !rescheduled && !was_backup && active_plan_ == nullptr;
-  if (append_only) {
-    broadcast_new_allocations(result.first_new_index);
-  } else {
-    broadcast_live_table();
-  }
-  refresh_slo(obs::now_us(), append_only ? result.first_new_index : 0);
+  if (removed || any_admitted) publish(rescheduled, result.first_new_index);
 }
 
 int Controller::send_allocations_to(Peer& peer, bool backup,
                                     std::span<const Demand> demands,
                                     std::span<const Allocation> allocs,
-                                    const FrameContext& trace) {
+                                    const FrameContext& trace,
+                                    std::span<const Demand> removed) {
   BATE_DCHECK_MSG(demands.size() == allocs.size(),
                   "controller: demand/allocation desync");
   int sent = 0;
   FrameBatch batch;
+  // Removals lead, so a demand both removed and in the table (an id
+  // re-admitted after its withdraw) ends up enforced.
+  for (const Demand& d : removed) {
+    for (const PairDemand& p : d.pairs) {
+      AllocationUpdateMsg update;
+      update.id = d.id;
+      update.pair = p.pair;
+      update.backup = backup;
+      batch.add(encode_message(update), trace);
+      ++sent;
+    }
+  }
   for (std::size_t i = 0; i < demands.size(); ++i) {
     for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
       AllocationUpdateMsg update;
@@ -538,7 +569,8 @@ int Controller::send_allocations_to(Peer& peer, bool backup,
 }
 
 void Controller::broadcast_rows(bool backup, std::span<const Demand> demands,
-                                std::span<const Allocation> allocs) {
+                                std::span<const Allocation> allocs,
+                                std::span<const Demand> removed) {
   obs::Span span("controller.broadcast");
   const obs::SpanContext sc = span.context();
   const FrameContext trace{sc.trace_id, sc.span_id};
@@ -546,7 +578,8 @@ void Controller::broadcast_rows(bool backup, std::span<const Demand> demands,
   int sent = 0;
   for (auto& [fd, peer] : peers_) {
     if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, backup, demands, allocs, trace);
+    sent +=
+        send_allocations_to(peer, backup, demands, allocs, trace, removed);
   }
   auto& m = ControllerMetrics::get();
   m.updates.inc(sent);
@@ -576,9 +609,11 @@ Controller::LiveTable Controller::live_table() const {
   return {true, planner_.demands(), active_plan_->alloc};
 }
 
-void Controller::broadcast_live_table() {
+void Controller::broadcast_live_table(std::span<const Demand> removed) {
+  // Removal rows carry the live table's backup flag like the rows after
+  // them.
   const LiveTable live = live_table();
-  broadcast_rows(live.backup, live.demands, live.allocs);
+  broadcast_rows(live.backup, live.demands, live.allocs, removed);
 }
 
 void Controller::refresh_slo(std::int64_t now_us, std::size_t first_row) {
@@ -587,12 +622,13 @@ void Controller::refresh_slo(std::int64_t now_us, std::size_t first_row) {
   // This is the controller-side replay of the simulator's deliver_second
   // satisfied rule, through the shared obs::interval_satisfied floor.
   //
-  // Invariant that makes a partial refresh exact: every handler that changes
-  // allocations, the active table or down_links_ ends with a refresh, so
-  // between handlers each row's ledger bit is current. A row's bit depends
-  // only on its own allocation, the active table and down_links_; when a
-  // tick merely appended rows, rows before first_row already carry their
-  // bit and re-deriving them would change nothing.
+  // Invariant that makes a partial refresh exact: every publish and link
+  // handler that changes allocations, the active table or down_links_ ends
+  // with a refresh (a withdraw only drops its own row until the publish
+  // that settles it), so between them each row's ledger bit is current.
+  // A row's bit depends only on its own allocation, the active table and
+  // down_links_; when a tick merely appended rows, rows before first_row
+  // already carry their bit and re-deriving them would change nothing.
   obs::Span span("controller.refresh_slo");
   const std::int64_t t0 = obs::now_us();
   const LiveTable live = live_table();

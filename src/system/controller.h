@@ -5,8 +5,8 @@
 // The controller runs its epoll loop on a dedicated thread. Users connect,
 // submit demands and receive admission replies; brokers connect, introduce
 // themselves with Hello{role="broker"} and then receive allocation updates
-// (normal after every scheduling round; backup while the links brokers
-// report down need a backup plan, BackupPlanner::plan_for).
+// (normal after every publish; backup while the links brokers report down
+// need a backup plan, BackupPlanner::plan_for).
 //
 // Admission pipeline (DESIGN.md Sec 10): SubmitDemand frames are enqueued
 // (bounded, per-tenant token buckets at ingress, overflow shed with
@@ -14,6 +14,14 @@
 // batched AdmissionController::offer_batch call; per-demand verdict replies
 // are flushed as a single batched write per peer, correlated by request_id
 // so every connection may pipeline many in-flight submits.
+//
+// The tick is the unit of scheduling work (DESIGN.md Sec 10.2): a withdraw
+// only removes its demand; the tick settles every removal since the last
+// round with one scheduling round, walks the admission batch, and publishes
+// once (precompute, live-table selection, one broadcast carrying the
+// removal rows, one SLO refresh). Handlers that read the admitted set or
+// the planner between ticks (link reports, a broker's Hello, stats and SLO
+// requests) settle pending removals first.
 //
 // Threading: the controller deliberately owns NO locks — all of its state
 // is confined to the event-loop thread (cross-thread mutation goes through
@@ -78,10 +86,11 @@ struct ControllerConfig {
   /// round-per-request cost to one round per tick. When false, all-greedy
   /// batches keep their (feasible, unoptimized) greedy allocations and only
   /// the new rows are delta-broadcast — the high-churn setting, since a
-  /// reschedule LP grows with the admitted set (DESIGN.md Sec 10).
+  /// reschedule LP grows with the admitted set (DESIGN.md Sec 10). Removals
+  /// are rescheduled either way.
   bool reschedule_after_batch = true;
-  /// Recompute backup plans after every batch containing admissions and
-  /// every withdraw. Off, the planner stays empty and link events keep the
+  /// Recompute backup plans once in every tick that removed or admitted
+  /// demands. Off, the planner stays empty and link events keep the
   /// primary table live. bench_system disables it: precompute cost grows
   /// with the admitted set and the churn bench measures the admission path,
   /// not recovery.
@@ -145,9 +154,16 @@ class Controller {
   /// queue, then enqueue for the tick drain.
   void on_submit(Peer& peer, const SubmitDemandMsg& submit,
                  const obs::SpanContext& trace);
-  /// Tick handler: drains the whole admission queue through
-  /// AdmissionController::offer_batch and flushes per-peer reply batches.
-  void drain_admission_queue();
+  /// Tick handler: settles removals with one scheduling round, drains the
+  /// admission queue, and publishes once if the tick removed or admitted
+  /// demands.
+  void on_tick();
+  /// Drains the non-empty admission queue through
+  /// AdmissionController::offer_batch, flushes per-peer reply batches, runs
+  /// the post-batch scheduling round (reschedule_after_batch) when the
+  /// batch admitted anyone, and publishes under the batch's span if the
+  /// tick `removed` or admitted demands.
+  void drain_admission_queue(bool removed);
   /// Sheds one request with kShed + retry_after and counts it.
   void shed(Peer& peer, std::uint64_t request_id, DemandId id,
             double retry_after_ms);
@@ -161,12 +177,14 @@ class Controller {
   /// Flushes an accumulated frame batch to `peer` with one write.
   void flush_batch(Peer& peer, const FrameBatch& batch);
   /// Sends one AllocationUpdate per (demand, pair) to `peer` as a single
-  /// batched write, stamping `trace` onto every frame; returns the number
-  /// of updates. Loop thread only.
+  /// batched write, stamping `trace` onto every frame: first an empty
+  /// (removing) row per pair of each `removed` demand, then the rows of
+  /// `demands`. Returns the number of updates. Loop thread only.
   int send_allocations_to(Peer& peer, bool backup,
                           std::span<const Demand> demands,
                           std::span<const Allocation> allocs,
-                          const FrameContext& trace = {});
+                          const FrameContext& trace = {},
+                          std::span<const Demand> removed = {});
   /// The live table to a newly introduced broker.
   void send_allocation_snapshot(Peer& peer);
   /// The live allocation table: the active plan's rows, flagged backup, or
@@ -178,28 +196,37 @@ class Controller {
   };
   LiveTable live_table() const;
   /// Points active_plan_ at planner_.plan_for(down_links_): the one failure
-  /// rule (DESIGN.md Sec 5.5). Run after every change to the planner, the
-  /// admitted set or down_links_.
+  /// rule (DESIGN.md Sec 5.5). Run after every publish's precompute and
+  /// every change to down_links_, never while removals are pending.
   void select_live_table();
-  /// Full broadcast of live_table().
-  void broadcast_live_table();
+  /// Full broadcast of live_table(), led by the empty rows of `removed`.
+  void broadcast_live_table(std::span<const Demand> removed = {});
   /// Delta broadcast: only admitted()[first_new..] rows, after a batch that
   /// appended greedy admissions without rescheduling anyone else.
   void broadcast_new_allocations(std::size_t first_new);
-  /// Sends `demands`' rows to every broker under one controller.broadcast
-  /// span; an empty row removes it at the broker.
+  /// Sends `removed`' empty rows, then `demands`' rows, to every broker
+  /// under one controller.broadcast span; an empty row removes it at the
+  /// broker.
   void broadcast_rows(bool backup, std::span<const Demand> demands,
-                      std::span<const Allocation> allocs);
-  /// Withdraw path: reschedule, precompute when precompute_backup is on,
-  /// then re-select the live table.
-  void run_scheduling_round();
+                      std::span<const Allocation> allocs,
+                      std::span<const Demand> removed = {});
+  /// Publishes a change of the admitted set or its allocations: precompute
+  /// when precompute_backup is on, re-select the live table, broadcast
+  /// (the delta rows from `first_new` when the change only appended greedy
+  /// rows to a primary table, else the full table with the removal rows),
+  /// refresh the SLO ledger. Takes (and clears) withdrawn_.
+  void publish(bool rescheduled, std::size_t first_new);
+  /// Between ticks: if a withdraw removed anyone since the last round, one
+  /// scheduling round and one publish, so the admitted set, the planner and
+  /// the brokers agree before a handler reads them.
+  void settle();
 
   /// Re-derives the satisfied bit of rows [first_row, n) of the active
   /// allocation table under the current down-link set, and feeds the SLO
   /// ledger (degrade/recover transitions on change only). A tick that only
   /// appended greedy rows to the primary table passes its first new row;
-  /// withdrawals, link events and ticks that rescheduled or had a backup
-  /// table live pass 0 (DESIGN.md Sec 9.4).
+  /// publishes with removals, link events and ticks that rescheduled or had
+  /// a backup table live pass 0 (DESIGN.md Sec 9.4).
   void refresh_slo(std::int64_t now_us, std::size_t first_row);
   /// Samples the registry into the time-series store once per
   /// slo_sample_period_ms (tick handler).
@@ -229,10 +256,16 @@ class Controller {
   obs::TimeSeriesStore series_;
   /// Links currently reported down by brokers (loop thread only).
   std::set<LinkId> down_links_;
+  /// Demands withdrawn from the admitted set since the last publish, whose
+  /// empty rows that publish sends. Non-empty means the admitted set
+  /// changed without a scheduling round: allocations and the planner are
+  /// stale until the next tick or settle().
+  std::vector<Demand> withdrawn_;
   /// Backup plan currently broadcast, or nullptr when primary allocations
   /// are live. Re-selected after every planner_.precompute(), which
-  /// invalidates it. The planner is empty (precompute_backup off) or holds
-  /// exactly admission_.admitted(), so a live plan covers every row.
+  /// invalidates it. After every publish and every settle the planner is
+  /// empty (precompute_backup off) or holds exactly admission_.admitted(),
+  /// so a live plan covers every row.
   const RecoveryResult* active_plan_ = nullptr;
   std::int64_t next_sample_us_ = 0;
 

@@ -10,7 +10,10 @@
 
 #include "core/admission.h"
 #include "topology/catalog.h"
+#include "util/rng.h"
 #include "workload/demand_gen.h"
+#include "workload/sla.h"
+#include "workload/traffic_matrix.h"
 
 namespace bate {
 namespace {
@@ -357,6 +360,110 @@ TEST(AdmissionController, ConjectureAdmitsWhatFixedRejects) {
   // BATE's conjecture path must never admit fewer than fixed.
   EXPECT_GE(bate_admits, fixed_admits);
 }
+
+// --- Coalesced removals (the controller tick, DESIGN.md Sec 10.2) ---
+
+/// Seeded B4 arrivals: pair by gravity-matrix volume, rate = entry / 40,
+/// Table-1 availability class (best-effort included), so capacity and
+/// availability both bind.
+std::vector<Demand> b4_arrivals(const Topology& topo,
+                                const TunnelCatalog& catalog,
+                                std::uint64_t seed, int count) {
+  const TrafficMatrix tm = generate_traffic_matrices(topo, 1)[0];
+  std::vector<double> weights;
+  for (const SdPair& p : catalog.pairs()) {
+    weights.push_back(
+        tm[static_cast<std::size_t>(p.src)][static_cast<std::size_t>(p.dst)]);
+  }
+  const auto& targets = b4_targets();
+  Rng rng(seed);
+  std::vector<Demand> out;
+  for (int i = 0; i < count; ++i) {
+    const std::size_t pair = rng.weighted_index(weights);
+    const double beta =
+        targets[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<int>(targets.size()) - 1))]
+            .availability;
+    out.push_back(
+        make_demand(i, static_cast<int>(pair), weights[pair] / 40.0, beta));
+  }
+  return out;
+}
+
+// The controller runs one scheduling round per tick over every removal of
+// that tick, where it used to run one per withdraw. Every withdraw of a
+// tick arrives before the tick's admission walk, so the walk must see the
+// same allocations either way, and so decide the same.
+class CoalescedRemovals : public ::testing::TestWithParam<int> {};
+
+TEST_P(CoalescedRemovals, MatchPerWithdrawRounds) {
+  const Topology topo = b4();
+  const TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::vector<Demand> demands = b4_arrivals(topo, catalog, seed, 72);
+  const std::span<const Demand> standing(demands.data(), 48);
+  const std::span<const Demand> arrivals(demands.data() + 48, 24);
+
+  AdmissionController per_withdraw(scheduler, AdmissionStrategy::kBate);
+  AdmissionController coalesced(scheduler, AdmissionStrategy::kBate);
+  for (AdmissionController* c : {&per_withdraw, &coalesced}) {
+    c->offer_batch(standing);
+    c->reschedule();
+  }
+  ASSERT_EQ(per_withdraw.admitted().size(), coalesced.admitted().size());
+  ASSERT_GE(coalesced.admitted().size(), 8u);
+
+  // Withdraw every third admitted demand, plus an id never admitted.
+  std::vector<DemandId> gone;
+  for (std::size_t i = 0; i < coalesced.admitted().size(); i += 3) {
+    gone.push_back(coalesced.admitted()[i].id);
+  }
+  gone.push_back(10'000);
+  for (const DemandId id : gone) {
+    per_withdraw.remove(id);
+    per_withdraw.reschedule();
+  }
+  for (const DemandId id : gone) coalesced.remove(id);
+  coalesced.reschedule();
+
+  const auto expect_same_allocations = [&](const char* when) {
+    ASSERT_EQ(per_withdraw.admitted().size(), coalesced.admitted().size())
+        << when;
+    for (std::size_t i = 0; i < coalesced.admitted().size(); ++i) {
+      ASSERT_EQ(per_withdraw.admitted()[i].id, coalesced.admitted()[i].id);
+      const Allocation& a = per_withdraw.allocations()[i];
+      const Allocation& b = coalesced.allocations()[i];
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t p = 0; p < a.size(); ++p) {
+        ASSERT_EQ(a[p].size(), b[p].size());
+        for (std::size_t t = 0; t < a[p].size(); ++t) {
+          EXPECT_NEAR(a[p][t], b[p][t], 1e-9)
+              << when << ": demand " << coalesced.admitted()[i].id
+              << " pair " << p << " tunnel " << t;
+        }
+      }
+    }
+  };
+  expect_same_allocations("after the removals");
+
+  const BatchAdmissionOutcome want = per_withdraw.offer_batch(arrivals);
+  const BatchAdmissionOutcome got = coalesced.offer_batch(arrivals);
+  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+  int admitted = 0;
+  for (std::size_t i = 0; i < got.outcomes.size(); ++i) {
+    EXPECT_EQ(got.outcomes[i].admitted, want.outcomes[i].admitted)
+        << "arrival " << i;
+    EXPECT_EQ(got.outcomes[i].via_conjecture,
+              want.outcomes[i].via_conjecture)
+        << "arrival " << i;
+    admitted += got.outcomes[i].admitted ? 1 : 0;
+  }
+  EXPECT_GT(admitted, 0);
+  expect_same_allocations("after the arrival batch");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoalescedRemovals, ::testing::Range(1, 7));
 
 }  // namespace
 }  // namespace bate

@@ -986,5 +986,92 @@ TEST_F(SystemAppendOnlyFixture, WithdrawLeavesNoStalePlan) {
   broker.stop();
 }
 
+/// bate_scheduler_rounds_total, the registry's count of scheduling rounds
+/// that solved a non-empty admitted set.
+std::int64_t scheduler_rounds() {
+  return obs::Registry::global().counter("bate_scheduler_rounds_total").value();
+}
+
+TEST_F(SystemFixture, WithdrawalsAndLinkReportShareOneRound) {
+  ASSERT_TRUE(obs::enabled()) << "tests assume BATE_OBS_OFF is not set";
+  std::array<std::unique_ptr<Broker>, 2> brokers;
+  for (int dc = 0; dc < 2; ++dc) {
+    brokers[dc] = std::make_unique<Broker>(dc, controller->port());
+    brokers[dc]->start();
+  }
+  UserClient user(controller->port());
+  const std::vector<Demand> gone = {make_demand(1, 0, 100.0, 0.99),
+                                    make_demand(2, 3, 100.0, 0.99),
+                                    make_demand(3, 5, 100.0, 0.99)};
+  const std::vector<Demand> kept = {make_demand(4, 7, 100.0, 0.99),
+                                    make_demand(5, 9, 100.0, 0.99)};
+  for (const Demand& d : gone) ASSERT_TRUE(user.submit(d));
+  for (const Demand& d : kept) ASSERT_TRUE(user.submit(d));
+  const auto holds = [](const Broker& b, const Demand& d) {
+    return !b.enforced_rates(d.id, d.pairs[0].pair).empty();
+  };
+  for (const auto& b : brokers) {
+    ASSERT_TRUE(wait_for_broker(*b, [&] {
+      return std::all_of(gone.begin(), gone.end(),
+                         [&](const Demand& d) { return holds(*b, d); }) &&
+             std::all_of(kept.begin(), kept.end(),
+                         [&](const Demand& d) { return holds(*b, d); });
+    }));
+  }
+  const LinkId down = *loaded_links(*brokers[0], catalog, kept).begin();
+
+  // Every withdraw and the link report in one segment, so they decode in
+  // one readable callback: the report settles the withdrawals with one
+  // round before it selects a plan, and the tick after it has nothing left.
+  const std::int64_t rounds = scheduler_rounds();
+  Socket raw = connect_tcp(controller->port());
+  FrameBatch batch;
+  for (const Demand& d : gone) {
+    batch.add(encode_message(WithdrawDemandMsg{d.id}));
+  }
+  batch.add(encode_message(LinkStatusMsg{down, false}));
+  raw.write_all(batch.bytes());
+  ASSERT_TRUE(
+      wait_for([&] { return controller->stats().link_failures_handled == 1; }));
+
+  // The plan for the down link covers exactly the kept demands (a debug
+  // check at selection asserts it covers the admitted set): no broker
+  // holds a withdrawn row, and each holds every kept one, flagged backup.
+  for (const auto& b : brokers) {
+    EXPECT_TRUE(wait_for_broker(*b, [&] {
+      return b->backup_active() &&
+             std::none_of(gone.begin(), gone.end(),
+                          [&](const Demand& d) { return holds(*b, d); });
+    }));
+    for (const Demand& d : kept) EXPECT_TRUE(holds(*b, d)) << d.id;
+  }
+  // A stats round trip on the user connection: the controller has finished
+  // the ticks that followed the report.
+  user.stats();
+  EXPECT_EQ(scheduler_rounds() - rounds, 1);
+  for (const auto& b : brokers) b->stop();
+}
+
+TEST_F(SystemFixture, WithdrawOfUnadmittedIdCostsNoRound) {
+  ASSERT_TRUE(obs::enabled()) << "tests assume BATE_OBS_OFF is not set";
+  UserClient user(controller->port());
+  ASSERT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.0)));
+  ASSERT_TRUE(user.submit(make_demand(2, 7, 100.0, 0.0)));
+  ASSERT_FALSE(user.submit(make_demand(3, 0, 50000.0, 0.0)));
+
+  // A rejected id and one never submitted: nothing left the admitted set.
+  // The stats request settles whatever the connection sent before it.
+  const std::int64_t rounds = scheduler_rounds();
+  user.withdraw(3);
+  user.withdraw(99);
+  user.stats();
+  EXPECT_EQ(scheduler_rounds() - rounds, 0);
+
+  // An admitted id costs exactly one round, by the tick or by the settle.
+  user.withdraw(1);
+  user.stats();
+  EXPECT_EQ(scheduler_rounds() - rounds, 1);
+}
+
 }  // namespace
 }  // namespace bate

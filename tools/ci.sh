@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Six-way verification matrix (DESIGN.md Sec 8 "Verification"):
+# Seven-way verification matrix (DESIGN.md Sec 8 "Verification"):
 #
 #   1. plain       RelWithDebInfo build + full ctest (tier-1)
 #   2. asan-ubsan  AddressSanitizer + UndefinedBehaviorSanitizer, -Werror
@@ -20,15 +20,21 @@
 #                  1.0 on SLO rows refreshed per admission; the SLO-ledger
 #                  crosscheck gate (measured availability must match the
 #                  shared simulator arithmetic within 1e-9 across a link-
-#                  flap chaos run); bate_top --once --json --check against
-#                  a live --serve stack; then runs the obs-overhead gate
-#                  (bench_solver --obs-overhead: metrics enabled, the SLO
-#                  ledger and the time-series store must stay within 3% of
-#                  the BATE_OBS_OFF=1 median, DESIGN.md Sec 9)
+#                  flap chaos run whose down set cuts pairs off, so at
+#                  least one demand degrades); bate_top --once --json
+#                  --check against a live --serve stack; then runs the
+#                  obs-overhead gate (bench_solver --obs-overhead: metrics
+#                  enabled, the SLO ledger and the time-series store must
+#                  stay within 3% of the BATE_OBS_OFF=1 median, DESIGN.md
+#                  Sec 9)
+#   7. perfbench-smoke
+#                  the live-loop benchmark (perfbench/run.py) for 3 s on
+#                  each workload; fails unless every run's last line reads
+#                  "correct": true with "failed": 0
 #
 # Every leg uses the CMakePresets.json presets, so a CI runner and a
 # developer shell run the identical configuration. Legs can be selected:
-#   tools/ci.sh            # all six
+#   tools/ci.sh            # all seven
 #   tools/ci.sh plain tsa  # just those
 set -euo pipefail
 
@@ -37,7 +43,7 @@ ROOT=$PWD
 
 legs=("$@")
 if [ ${#legs[@]} -eq 0 ]; then
-  legs=(plain asan-ubsan tsan tsa lint bench-smoke)
+  legs=(plain asan-ubsan tsan tsa lint bench-smoke perfbench-smoke)
 fi
 
 banner() { printf '\n=== ci.sh: %s ===\n' "$*"; }
@@ -152,6 +158,12 @@ for leg in "${legs[@]}"; do
         --metric slo_demands --floor 100
       "build/dev/tools/bench_report" --max "$smoke_json" \
         --metric slo_crosscheck_max_abs_err --ceiling 0.000000001
+      # The chaos flap set takes every egress link of one DC down at once,
+      # so some demands have no surviving tunnel: the crosscheck must
+      # replay logs with degraded and recovered transitions, not only
+      # allocated ones.
+      "build/dev/tools/bench_report" --min "$smoke_json" \
+        --metric slo_degraded_demands --floor 1
       rm -f "$smoke_json"
       banner "bate_top --check against a live bench_system stack"
       cmake --build --preset dev -j "$(nproc)" --target bate_top
@@ -180,8 +192,24 @@ for leg in "${legs[@]}"; do
       banner "obs-overhead gate (metrics on vs off incl. ledger + series, 3% budget)"
       "build/dev/bench/bench_solver" --obs-overhead
       ;;
+    perfbench-smoke)
+      banner "perfbench smoke (3 s per workload, correctness and no failures)"
+      for workload in churn_testbed6 bate_b4 failover_b4; do
+        # Build output goes to stderr; the last stdout line is the result.
+        result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+          --seconds 3 --trace 0 | tail -n 1)
+        if ! printf '%s' "$result" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+          echo "ci.sh: perfbench $workload failed: $result" >&2
+          exit 1
+        fi
+        echo "ci.sh: perfbench $workload correct, 0 failed"
+      done
+      ;;
     *)
-      echo "ci.sh: unknown leg '$leg' (plain|asan-ubsan|tsan|tsa|lint|bench-smoke)" >&2
+      echo "ci.sh: unknown leg '$leg' (plain|asan-ubsan|tsan|tsa|lint|bench-smoke|perfbench-smoke)" >&2
       exit 2
       ;;
   esac
