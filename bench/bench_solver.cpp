@@ -14,6 +14,13 @@
 // behaviour) and `reps` times with the default fast path; the two objectives
 // must agree to 1e-6 relative or the bench aborts.
 //
+// After the fixed instances, the sched_chain_b4 case replays a seeded B4
+// add/remove chain through TrafficScheduler::schedule: each round is solved
+// once from the basis carried by ScheduleBasisCache and once cold, and the
+// case reports pivots per round for both, their ratio and the warm-hit
+// fraction (deterministic counts the bench-smoke leg gates on). The two
+// LP objectives must agree to 1e-9 relative or the bench aborts.
+//
 // --trace FILE dumps the spans the bench run recorded as Chrome trace_event
 // JSON (open in chrome://tracing or https://ui.perfetto.dev).
 //
@@ -43,6 +50,8 @@
 #include "obs/trace.h"
 #include "sim/experiment.h"
 #include "solver/simplex.h"
+#include "util/rng.h"
+#include "workload/sla.h"
 #include "workload/traffic_matrix.h"
 
 namespace {
@@ -114,6 +123,115 @@ std::vector<Instance> build_instances() {
     }
   }
   return out;
+}
+
+/// The sched_chain_b4 case (see the header comment). Demands are drawn like
+/// perfbench's bate_b4 stream — pair by gravity-matrix volume, rate = entry
+/// / 40, Table-1 target mix — keeping only those whose LP is feasible on
+/// their own, as admission would. A standing set of 32, then 60 steps of
+/// 1-3 withdrawals, a round, 1-3 arrivals, a round. The hard-repair pass is
+/// off: it runs after the LP and does not touch what is compared here.
+bool run_sched_chain(BenchCase& out) {
+  const Topology topo = b4();
+  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  SchedulerConfig cfg;
+  cfg.hard_repair = false;
+  const TrafficScheduler sched(topo, catalog, cfg);
+  const TrafficMatrix tm = generate_traffic_matrices(topo, 1)[0];
+  std::vector<double> weights;
+  for (const SdPair& p : catalog.pairs()) {
+    weights.push_back(
+        tm[static_cast<std::size_t>(p.src)][static_cast<std::size_t>(p.dst)]);
+  }
+  Rng rng(4260);
+  DemandId next_id = 0;
+  const auto draw = [&] {
+    while (true) {
+      Demand d;
+      d.id = next_id++;
+      const std::size_t pair = rng.weighted_index(weights);
+      d.pairs = {{static_cast<int>(pair), weights[pair] / 40.0}};
+      d.availability_target =
+          b4_targets()[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<int>(b4_targets().size()) - 1))]
+              .availability;
+      if (sched.schedule(std::span<const Demand>(&d, 1)).feasible) return d;
+    }
+  };
+
+  std::vector<Demand> set;
+  for (int i = 0; i < 32; ++i) set.push_back(draw());
+  ScheduleBasisCache cache;
+  long carried_pivots = 0;
+  long cold_pivots = 0;
+  int rounds = 0;
+  int warm_hits = 0;
+  int feasible = 0;
+  std::vector<double> carried_ms;
+  std::vector<double> cold_ms;
+  const auto round = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const ScheduleResult carried = sched.schedule(set, {}, &cache);
+    const auto t1 = std::chrono::steady_clock::now();
+    const ScheduleResult cold = sched.schedule(set);
+    const auto t2 = std::chrono::steady_clock::now();
+    carried_ms.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    cold_ms.push_back(
+        std::chrono::duration<double, std::milli>(t2 - t1).count());
+    if (carried.feasible != cold.feasible ||
+        (cold.feasible &&
+         std::abs(carried.lp_objective - cold.lp_objective) >
+             1e-9 * std::max(1.0, std::abs(cold.lp_objective)))) {
+      std::fprintf(stderr,
+                   "bench_solver: sched_chain_b4 round %d: carried %.12g "
+                   "cold %.12g\n",
+                   rounds, carried.lp_objective, cold.lp_objective);
+      return false;
+    }
+    // The first round has nothing to carry and counts as neither.
+    if (rounds > 0) {
+      carried_pivots += carried.lp_pivots;
+      cold_pivots += cold.lp_pivots;
+      warm_hits += cache.lp.used ? 1 : 0;
+    }
+    feasible += cold.feasible ? 1 : 0;
+    ++rounds;
+    return true;
+  };
+  if (!round()) return false;
+  for (int step = 0; step < 60; ++step) {
+    for (int k = rng.uniform_int(1, 3); k > 0 && !set.empty(); --k) {
+      set.erase(set.begin() +
+                rng.uniform_int(0, static_cast<int>(set.size()) - 1));
+    }
+    if (!round()) return false;
+    for (int k = rng.uniform_int(1, 3); k > 0; --k) set.push_back(draw());
+    if (!round()) return false;
+  }
+
+  const double chained = rounds - 1;
+  const double carried_per_round = static_cast<double>(carried_pivots) / chained;
+  const double cold_per_round = static_cast<double>(cold_pivots) / chained;
+  const double ratio = cold_pivots > 0 ? carried_per_round / cold_per_round : 0.0;
+  const double hit_frac = warm_hits / chained;
+  std::printf(
+      "%-24s %d rounds (%d feasible): pivots/round carried %.1f cold %.1f "
+      "(%.3fx), warm hits %.3f, median round carried %.3f ms cold %.3f ms\n",
+      "sched_chain_b4", rounds, feasible, carried_per_round, cold_per_round,
+      ratio, hit_frac, quantile(carried_ms, 0.5), quantile(cold_ms, 0.5));
+  out.name = "sched_chain_b4";
+  out.metrics = {
+      {"rounds", static_cast<double>(rounds)},
+      {"feasible_rounds", static_cast<double>(feasible)},
+      {"carried_pivots_per_round", carried_per_round},
+      {"cold_pivots_per_round", cold_per_round},
+      {"carried_over_cold_pivots", ratio},
+      {"warm_hit_frac", hit_frac},
+      {"carried_round_median_ms", quantile(carried_ms, 0.5)},
+      {"cold_round_median_ms", quantile(cold_ms, 0.5)},
+  };
+  return true;
 }
 
 /// The obs-overhead gate: interleaved A/B solves of one representative
@@ -348,6 +466,12 @@ int main(int argc, char** argv) {
         {"speedup_vs_nopresolve", speedup_vs_nopre},
     };
     report.cases.push_back(std::move(c));
+  }
+
+  {
+    BenchCase chain;
+    if (!run_sched_chain(chain)) return 1;
+    report.cases.push_back(std::move(chain));
   }
 
   // Schema v3: embed the registry view of one representative scheduling

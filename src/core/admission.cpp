@@ -499,6 +499,13 @@ bool AdmissionController::try_fixed(const Demand& demand,
     allocations_.push_back(std::move(*alloc));
     return true;
   }
+  if (obs::enabled()) {
+    // A one-off single-demand LP, not an admitted-set round: it has its own
+    // counter and stays out of bate_scheduler_*.
+    static obs::Counter& fixed_lps =
+        obs::Registry::global().counter("bate_admission_fixed_lp_total");
+    fixed_lps.inc();
+  }
   const Demand demand_copy = demand;
   const ScheduleResult r = scheduler_->schedule(
       std::span<const Demand>(&demand_copy, 1), residual);
@@ -651,9 +658,10 @@ void AdmissionController::remove(DemandId id) {
 bool AdmissionController::reschedule() {
   if (admitted_.empty()) return true;
   // Successive reschedules over a slowly changing admitted set re-solve a
-  // near-identical LP; sched_basis_ chains each period's final basis into
-  // the next solve (stale after admits/removals change the model shape, in
-  // which case schedule() falls back to the cold path on its own).
+  // near-identical LP; sched_basis_ carries each round's final basis onto
+  // the next round's model by column and row identity, across admits and
+  // removals. The objective is the cold solve's; the allocation may be a
+  // different optimal vertex (see ScheduleBasisCache).
   const ScheduleResult r = scheduler_->schedule(admitted_, {}, &sched_basis_);
   if (!r.feasible) return false;
   allocations_ = r.alloc;

@@ -15,10 +15,11 @@ namespace bate {
 
 namespace {
 
-/// One registry flush per scheduling round (obs: bate_scheduler_*).
-/// Warm-start hit/miss reads WarmStart::used, which solve_lp just set.
+/// One registry flush per admitted-set round, a schedule() call with a
+/// basis cache (obs: bate_scheduler_*). Warm-start hit/miss reads
+/// WarmStart::used, which solve_lp just set.
 void record_schedule_round(const Model& model, long demand_count,
-                           long scenario_count, const WarmStart* warm,
+                           long scenario_count, const WarmStart& warm,
                            std::int64_t round_us) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();
@@ -34,13 +35,20 @@ void record_schedule_round(const Model& model, long demand_count,
   static obs::Gauge& rows = reg.gauge("bate_scheduler_lp_rows");
   static obs::Gauge& cols = reg.gauge("bate_scheduler_lp_cols");
   rounds.inc();
-  if (warm != nullptr) (warm->used ? warm_hits : warm_misses).inc();
+  (warm.used ? warm_hits : warm_misses).inc();
   round_hist.record(round_us);
   demands.set(static_cast<double>(demand_count));
   scenarios.set(static_cast<double>(scenario_count));
   rows.set(static_cast<double>(model.constraint_count()));
   cols.set(static_cast<double>(model.variable_count()));
 }
+
+/// Kind tags of the scheduling LP's column and row identities
+/// (ScheduleBasisCache::keys). Columns: g = (demand, pair, tunnel index),
+/// B = (demand, pattern mask). Rows: (1) = (demand, pair), (3) = (demand,
+/// pattern mask, pair position), (4) = (demand), (6) = (link).
+enum ColumnKind : int { kTunnelRateCol, kPatternCreditCol };
+enum RowKind : int { kCoverageRow, kCreditRow, kAvailabilityRow, kCapacityRow };
 
 /// Pattern distribution for an arbitrary tunnel list under the requested
 /// model. The exact distribution enumerates 2^|union| link states; when the
@@ -217,13 +225,14 @@ std::shared_ptr<const DemandPatterns> TrafficScheduler::demand_patterns(
 Model TrafficScheduler::build_schedule_model(
     std::span<const Demand> demands,
     std::span<const double> capacity_override) const {
-  return build_schedule_model_impl(demands, capacity_override, nullptr);
+  return build_schedule_model_impl(demands, capacity_override, nullptr,
+                                   nullptr);
 }
 
 Model TrafficScheduler::build_schedule_model_impl(
     std::span<const Demand> demands,
     std::span<const double> capacity_override,
-    std::vector<std::pair<int, int>>* layout) const {
+    std::vector<std::pair<int, int>>* layout, ModelKeys* keys) const {
   // Scheduling preconditions (Sec 3.3): the override must cover every link,
   // and each demand's target/requests must be well-formed — the LP rows
   // (1), (3), (4) silently produce garbage otherwise.
@@ -251,6 +260,10 @@ Model TrafficScheduler::build_schedule_model_impl(
   };
   std::vector<std::vector<PairVars>> gvars(demands.size());
   if (layout) layout->clear();
+  if (keys) {
+    keys->cols.clear();
+    keys->rows.clear();
+  }
 
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
@@ -277,11 +290,13 @@ Model TrafficScheduler::build_schedule_model_impl(
                                  (1.0 - avail[static_cast<std::size_t>(t)]) *
                                  (1.0 + availability_weight(
                                             d.availability_target))));
+        if (keys) keys->cols.push_back({kTunnelRateCol, d.id, pd.pair, t});
       }
       // (1): sum_t f >= b  <=>  sum_t g >= 1.
       std::vector<Term> row;
       for (int t = 0; t < tn; ++t) row.push_back({gvars[i][p].first_var + t, 1.0});
       model.add_constraint(std::move(row), Relation::kGreaterEqual, 1.0);
+      if (keys) keys->rows.push_back({kCoverageRow, d.id, pd.pair, 0});
       if (layout) {
         layout->push_back({gvars[i][p].first_var, gvars[i][p].tunnel_count});
       }
@@ -304,6 +319,10 @@ Model TrafficScheduler::build_schedule_model_impl(
       if (prob <= 0.0) continue;
       // B^z_d in [0,1]: a scenario contributes at most its probability.
       const int bvar = model.add_variable(0.0, 1.0, 0.0);
+      if (keys) {
+        keys->cols.push_back(
+            {kPatternCreditCol, d.id, static_cast<int>(s), 0});
+      }
       avail_row.push_back(
           {bvar, prob * availability_row_scale(d.availability_target)});
       // (3): B <= R_dk for every pair of the demand.
@@ -322,12 +341,17 @@ Model TrafficScheduler::build_schedule_model_impl(
           // encode as B <= 0.
         }
         model.add_constraint(std::move(row), Relation::kLessEqual, 0.0);
+        if (keys) {
+          keys->rows.push_back({kCreditRow, d.id, static_cast<int>(s),
+                                static_cast<int>(p)});
+        }
       }
     }
     // (4): sum_S p_S B_S >= beta. The all-down pattern (s=0) contributes 0.
     model.add_constraint(
         std::move(avail_row), Relation::kGreaterEqual,
         d.availability_target * availability_row_scale(d.availability_target));
+    if (keys) keys->rows.push_back({kAvailabilityRow, d.id, 0, 0});
   }
 
   // (6): link capacity, rows normalized by capacity for conditioning.
@@ -356,38 +380,56 @@ Model TrafficScheduler::build_schedule_model_impl(
       for (Term& term : row) term.coef /= std::max(cap, 1e-9);
       model.add_constraint(std::move(row), Relation::kLessEqual,
                            cap <= 0.0 ? 0.0 : 1.0);
+      if (keys) keys->rows.push_back({kCapacityRow, e, 0, 0});
     }
   }
+  BATE_DCHECK_MSG(
+      keys == nullptr ||
+          (static_cast<int>(keys->cols.size()) == model.variable_count() &&
+           static_cast<int>(keys->rows.size()) == model.constraint_count()),
+      "schedule: a column or row was added without its key");
   return model;
 }
 
 ScheduleResult TrafficScheduler::schedule(
     std::span<const Demand> demands, std::span<const double> capacity_override,
     ScheduleBasisCache* basis) const {
-  BATE_TRACE_SPAN("scheduler.schedule");
+  // One "scheduler.schedule" span per counted round (the trace and
+  // bate_scheduler_rounds_total agree); one-off solves get their own name.
+  const obs::Span span(basis != nullptr ? "scheduler.schedule"
+                                        : "scheduler.schedule_once");
   const std::int64_t round_t0 = obs::now_us();
   std::vector<std::pair<int, int>> layout;
+  ModelKeys keys;
   const Model model = [&] {
     BATE_TRACE_SPAN("scheduler.build_model");
-    return build_schedule_model_impl(demands, capacity_override, &layout);
+    return build_schedule_model_impl(demands, capacity_override, &layout,
+                                     basis != nullptr ? &keys : nullptr);
   }();
+  if (basis != nullptr) {
+    basis->lp.basis = carry_basis(basis->lp.basis, basis->keys, keys);
+  }
   const Solution sol =
       solve_lp(model, cfg_.lp, basis != nullptr ? &basis->lp : nullptr);
-  // Scenario count: every variable that is not a tunnel-rate g is a
-  // per-(demand, pattern) credit B — the number of availability scenarios
-  // the LP priced this round.
-  long tunnel_vars = 0;
-  for (const auto& [first_var, tunnel_count] : layout) {
-    tunnel_vars += tunnel_count;
+  if (basis != nullptr) {
+    basis->keys = std::move(keys);
+    // Scenario count: every variable that is not a tunnel-rate g is a
+    // per-(demand, pattern) credit B — the number of availability
+    // scenarios the LP priced this round.
+    long tunnel_vars = 0;
+    for (const auto& [first_var, tunnel_count] : layout) {
+      tunnel_vars += tunnel_count;
+    }
+    record_schedule_round(model, static_cast<long>(demands.size()),
+                          model.variable_count() - tunnel_vars, basis->lp,
+                          obs::now_us() - round_t0);
   }
-  record_schedule_round(model, static_cast<long>(demands.size()),
-                        model.variable_count() - tunnel_vars,
-                        basis != nullptr ? &basis->lp : nullptr,
-                        obs::now_us() - round_t0);
 
   ScheduleResult result;
   result.status = sol.status;
   result.feasible = sol.optimal();
+  result.lp_objective = sol.objective;
+  result.lp_pivots = sol.pivots;
   if (!result.feasible) return result;
 
   result.alloc.resize(demands.size());

@@ -22,6 +22,7 @@
 
 #include "routing/tunnels.h"
 #include "scenario/pattern.h"
+#include "solver/carry.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
 #include "topology/graph.h"
@@ -68,15 +69,21 @@ struct DemandPatterns {
 
 /// Caller-owned basis cache for chained schedule() calls: the periodic
 /// re-solve over a slowly changing admitted set re-solves a near-identical
-/// LP, so carrying the previous period's basis skips Phase 1 (and most of
-/// Phase 2) of the next solve. schedule() warm-starts from `lp.basis` when
-/// it is compatible with the new model (stale shapes fall back to the cold
-/// path — results are identical either way) and writes the final basis
-/// back. Not thread-safe: one cache per call chain, never shared across
-/// threads (schedule() itself stays const and thread-safe when called
-/// without a cache).
+/// LP, so restarting from the previous round's final basis skips most of the
+/// next solve. `keys` identifies every column and row of the model `lp.basis`
+/// belongs to (solver/carry.h). Each call maps that basis onto the new model
+/// by those identities — demands that stayed keep their columns' statuses
+/// and their rows' basic columns, new rows start on their slacks — solves
+/// warm from it, and writes back the final basis and the new keys. The
+/// carried solve reaches the cold solve's optimal objective, but where the
+/// LP has several optimal vertices it may end on a different one, so the
+/// allocation (and the hard-repair pass after it) can differ from an
+/// unchained call. Not thread-safe: one cache per call chain, never shared
+/// across threads (schedule() itself stays const and thread-safe when
+/// called without a cache).
 struct ScheduleBasisCache {
   WarmStart lp;
+  ModelKeys keys;
 };
 
 struct ScheduleResult {
@@ -86,6 +93,11 @@ struct ScheduleResult {
   /// Objective: total allocated Mbps across demands/tunnels.
   double total_allocated_mbps = 0.0;
   SolveStatus status = SolveStatus::kInfeasible;
+  /// The scheduling LP's own objective and simplex pivots, before the
+  /// hard-repair pass. A carried round and a cold solve of the same set
+  /// reach the same objective; the pivots show what the carry saved.
+  double lp_objective = 0.0;
+  long lp_pivots = 0;
 };
 
 class TrafficScheduler {
@@ -96,9 +108,12 @@ class TrafficScheduler {
 
   /// Solves the scheduling LP for the given demand set against the full
   /// link capacities (or `capacity_override` when non-empty; indexed by
-  /// LinkId). `basis`, when non-null, warm-starts the LP from the previous
-  /// call's basis and receives this call's basis back (see
-  /// ScheduleBasisCache).
+  /// LinkId). `basis`, when non-null, marks the call as one round of an
+  /// admitted-set chain: the LP warm-starts from the previous round's basis
+  /// carried onto this model, the cache receives this round's basis back
+  /// (see ScheduleBasisCache), and the round is counted in the
+  /// bate_scheduler_* metrics. Calls without a cache are one-off solves and
+  /// are not counted as rounds.
   ScheduleResult schedule(std::span<const Demand> demands,
                           std::span<const double> capacity_override = {},
                           ScheduleBasisCache* basis = nullptr) const;
@@ -151,11 +166,12 @@ class TrafficScheduler {
 
  private:
   /// Model build plus the g-variable layout: (first_var, tunnel_count) per
-  /// (demand, pair position), flattened pair-major in demand order.
+  /// (demand, pair position), flattened pair-major in demand order, and,
+  /// when `keys` is non-null, the identity of every column and row.
   Model build_schedule_model_impl(
       std::span<const Demand> demands,
       std::span<const double> capacity_override,
-      std::vector<std::pair<int, int>>* layout) const;
+      std::vector<std::pair<int, int>>* layout, ModelKeys* keys) const;
   void repair_hard_availability(std::span<const Demand> demands,
                                 ScheduleResult& result,
                                 std::span<const double> capacity_override)

@@ -110,8 +110,11 @@ struct SimplexOptions {
 ///
 /// `warm` (optional) carries a basis across related solves: a compatible
 /// input basis is restarted from (stale or unusable bases fall back to the
-/// cold path — the result is identical either way, only the work differs),
-/// and the final basis is written back on return. `reference_mode` ignores
+/// cold path — the optimal objective is the same either way, only the work
+/// differs, though an LP with several optimal vertices may end on another
+/// one), and the final basis is written back on return. A caller that
+/// rebuilds its model between solves maps the basis onto the new shape
+/// with carry_basis() (solver/carry.h). `reference_mode` ignores
 /// warm input so the equivalence baseline is untouched.
 Solution solve_lp(const Model& model, const SimplexOptions& options = {},
                   WarmStart* warm = nullptr);

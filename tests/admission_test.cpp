@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/admission.h"
+#include "obs/metrics.h"
 #include "topology/catalog.h"
 #include "util/rng.h"
 #include "workload/demand_gen.h"
@@ -464,6 +465,31 @@ TEST_P(CoalescedRemovals, MatchPerWithdrawRounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescedRemovals, ::testing::Range(1, 7));
+
+// The single-demand LP that step 1 tries when the greedy guarantee fails is
+// not a scheduling round: it has its own counter, and the round metrics
+// describe admitted-set rounds only.
+TEST(AdmissionMetrics, FixedStepLpIsNotASchedulingRound) {
+  ASSERT_TRUE(obs::enabled()) << "tests assume BATE_OBS_OFF is not set";
+  auto& reg = obs::Registry::global();
+  const obs::Counter& rounds = reg.counter("bate_scheduler_rounds_total");
+  const obs::Counter& fixed_lps = reg.counter("bate_admission_fixed_lp_total");
+  const Topology topo = b4();
+  const TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  AdmissionController fixed(scheduler, AdmissionStrategy::kFixed);
+  int lp_offers = 0;
+  for (const Demand& d : b4_arrivals(topo, catalog, 5, 64)) {
+    const std::int64_t rounds_before = rounds.value();
+    const std::int64_t lps_before = fixed_lps.value();
+    fixed.offer(d);
+    if (fixed_lps.value() == lps_before) continue;
+    EXPECT_EQ(fixed_lps.value() - lps_before, 1) << "demand " << d.id;
+    EXPECT_EQ(rounds.value() - rounds_before, 0) << "demand " << d.id;
+    ++lp_offers;
+  }
+  EXPECT_GT(lp_offers, 0) << "no offer fell through to the step-1 LP";
+}
 
 }  // namespace
 }  // namespace bate

@@ -1,11 +1,14 @@
 // Tests for BATE traffic scheduling (Sec 3.3): the Fig 2 motivating example
 // as an acceptance test, capacity/feasibility behaviour, pruning
-// monotonicity, hard-repair, the per-pattern capability precompute, and
-// property checks over random workloads.
+// monotonicity, hard-repair, the per-pattern capability precompute,
+// property checks over random workloads, and the basis carried across
+// chained admitted-set rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/scheduling.h"
@@ -13,7 +16,10 @@
 #include "solver/simplex.h"
 #include "topology/catalog.h"
 #include "topology/generator.h"
+#include "util/rng.h"
 #include "workload/demand_gen.h"
+#include "workload/sla.h"
+#include "workload/traffic_matrix.h"
 
 namespace bate {
 namespace {
@@ -296,6 +302,214 @@ TEST(Scheduling, PatternCapabilitiesMatchFromScratchMaxFlow) {
     }
     EXPECT_GT(solved, 0);
   }
+}
+
+// --- Basis carried across admitted-set rounds (ScheduleBasisCache) ---
+
+/// Seeded B4 demand stream: pair by gravity-matrix volume, rate = entry /
+/// 40, Table-1 availability class (best-effort included).
+class B4Stream {
+ public:
+  explicit B4Stream(std::uint64_t seed)
+      : catalog_(TunnelCatalog::build_all_pairs(topo_, 4)),
+        scheduler_(topo_, catalog_, SchedulerConfig{}),
+        rng_(seed) {
+    const TrafficMatrix tm = generate_traffic_matrices(topo_, 1)[0];
+    for (const SdPair& p : catalog_.pairs()) {
+      weights_.push_back(tm[static_cast<std::size_t>(p.src)]
+                           [static_cast<std::size_t>(p.dst)]);
+    }
+  }
+
+  /// The next demand whose LP is feasible on its own (admission would
+  /// reject the others, and one of them makes every set infeasible).
+  Demand next() {
+    while (true) {
+      const std::size_t pair = rng_.weighted_index(weights_);
+      const auto& targets = b4_targets();
+      const double beta =
+          targets[static_cast<std::size_t>(rng_.uniform_int(
+                      0, static_cast<int>(targets.size()) - 1))]
+              .availability;
+      const Demand d = make_demand(next_id_++, static_cast<int>(pair),
+                                   weights_[pair] / 40.0, beta);
+      if (scheduler_.schedule(std::span<const Demand>(&d, 1)).feasible) {
+        return d;
+      }
+    }
+  }
+  Rng& rng() { return rng_; }
+  const Topology& topo() const { return topo_; }
+  const TunnelCatalog& catalog() const { return catalog_; }
+  const TrafficScheduler& scheduler() const { return scheduler_; }
+
+ private:
+  Topology topo_ = b4();
+  TunnelCatalog catalog_;
+  TrafficScheduler scheduler_;
+  Rng rng_;
+  std::vector<double> weights_;
+  DemandId next_id_ = 0;
+};
+
+/// A cold, unchained solve of the same set without the hard-repair pass:
+/// the LP objective a carried round must reach.
+ScheduleResult cold_lp(const B4Stream& s, const std::vector<Demand>& set) {
+  SchedulerConfig cfg;
+  cfg.hard_repair = false;
+  const TrafficScheduler cold(s.topo(), s.catalog(), cfg);
+  return cold.schedule(set);
+}
+
+void expect_same_lp_objective(const ScheduleResult& got,
+                              const ScheduleResult& want, const char* when) {
+  ASSERT_EQ(got.feasible, want.feasible) << when;
+  if (!want.feasible) return;
+  EXPECT_LE(std::abs(got.lp_objective - want.lp_objective),
+            1e-9 * std::max(1.0, std::abs(want.lp_objective)))
+      << when << ": carried " << got.lp_objective << " cold "
+      << want.lp_objective;
+}
+
+/// Link capacity and row (1) coverage of a round's final allocation.
+void expect_capacity_and_coverage(const B4Stream& s,
+                                  const std::vector<Demand>& set,
+                                  const ScheduleResult& r) {
+  const auto usage = link_usage(s.topo(), s.catalog(), set, r.alloc);
+  for (LinkId e = 0; e < s.topo().link_count(); ++e) {
+    EXPECT_LE(usage[static_cast<std::size_t>(e)],
+              s.topo().link(e).capacity * (1.0 + 1e-6) + 1e-6)
+        << "link " << e;
+  }
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t p = 0; p < set[i].pairs.size(); ++p) {
+      double total = 0.0;
+      for (const double f : r.alloc[i][p]) total += f;
+      EXPECT_GE(total, set[i].pairs[p].mbps * (1.0 - 1e-6) - 1e-6)
+          << "demand " << set[i].id << " pair " << p;
+    }
+  }
+}
+
+class CarriedChain : public ::testing::TestWithParam<int> {};
+
+// The live loop's round sequence: withdrawals, a round, a batch of
+// arrivals, a round. Every round after the first restarts from the carried
+// basis, reaches the cold LP objective, and yields an allocation within
+// link capacity that covers every request.
+TEST_P(CarriedChain, EveryRoundWarmWithColdObjective) {
+  B4Stream s(static_cast<std::uint64_t>(GetParam()));
+  std::vector<Demand> set;
+  for (int i = 0; i < 16; ++i) set.push_back(s.next());
+  ScheduleBasisCache cache;
+  int rounds = 0;
+  int feasible = 0;
+  const auto round = [&](const char* when) {
+    const ScheduleResult r = s.scheduler().schedule(set, {}, &cache);
+    if (rounds > 0) {
+      EXPECT_TRUE(cache.lp.used) << when << " round " << rounds;
+    }
+    ++rounds;
+    expect_same_lp_objective(r, cold_lp(s, set), when);
+    if (!r.feasible) return;
+    ++feasible;
+    expect_capacity_and_coverage(s, set, r);
+  };
+  round("first");
+  for (int step = 0; step < 25; ++step) {
+    const int leave = s.rng().uniform_int(1, 3);
+    for (int k = 0; k < leave && !set.empty(); ++k) {
+      set.erase(set.begin() +
+                s.rng().uniform_int(0, static_cast<int>(set.size()) - 1));
+    }
+    round("after withdrawals");
+    const int arrive = s.rng().uniform_int(1, 3);
+    for (int k = 0; k < arrive; ++k) set.push_back(s.next());
+    round("after arrivals");
+  }
+  EXPECT_EQ(rounds, 51);
+  // The chain must exercise optimal rounds, not only infeasible ones.
+  EXPECT_GE(feasible, rounds / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CarriedChain, ::testing::Range(1, 7));
+
+TEST(CarriedBasis, SetReplacedCompletely) {
+  B4Stream s(11);
+  std::vector<Demand> first;
+  std::vector<Demand> second;
+  for (int i = 0; i < 12; ++i) first.push_back(s.next());
+  for (int i = 0; i < 12; ++i) second.push_back(s.next());
+  ScheduleBasisCache cache;
+  s.scheduler().schedule(first, {}, &cache);
+  const ScheduleResult r = s.scheduler().schedule(second, {}, &cache);
+  EXPECT_TRUE(cache.lp.used);
+  expect_same_lp_objective(r, cold_lp(s, second), "replaced set");
+}
+
+TEST(CarriedBasis, EmptySetThenNonEmpty) {
+  B4Stream s(12);
+  std::vector<Demand> set;
+  ScheduleBasisCache cache;
+  const ScheduleResult empty = s.scheduler().schedule(set, {}, &cache);
+  EXPECT_TRUE(empty.feasible);
+  EXPECT_TRUE(cache.lp.basis.empty());
+  for (int i = 0; i < 12; ++i) set.push_back(s.next());
+  // No basis to carry: this round solves cold, the next one warm.
+  const ScheduleResult first = s.scheduler().schedule(set, {}, &cache);
+  EXPECT_FALSE(cache.lp.used);
+  expect_same_lp_objective(first, cold_lp(s, set), "first non-empty round");
+  set.push_back(s.next());
+  const ScheduleResult second = s.scheduler().schedule(set, {}, &cache);
+  EXPECT_TRUE(cache.lp.used);
+  expect_same_lp_objective(second, cold_lp(s, set), "second round");
+}
+
+TEST(CarriedBasis, DemandReadmittedWithDifferentPairs) {
+  B4Stream s(13);
+  std::vector<Demand> set;
+  for (int i = 0; i < 12; ++i) set.push_back(s.next());
+  ScheduleBasisCache cache;
+  s.scheduler().schedule(set, {}, &cache);
+  // Same id, new pair list: the old rows and columns of that id that still
+  // match a key describe different constraints now.
+  Demand& d = set[3];
+  const int old_pair = d.pairs[0].pair;
+  const int pairs = s.catalog().pair_count();
+  d.pairs = {{(old_pair + 7) % pairs, d.pairs[0].mbps},
+             {(old_pair + 11) % pairs, d.pairs[0].mbps / 2.0}};
+  const ScheduleResult r = s.scheduler().schedule(set, {}, &cache);
+  EXPECT_TRUE(cache.lp.used);
+  expect_same_lp_objective(r, cold_lp(s, set), "re-admitted id");
+}
+
+TEST(CarriedBasis, SameSizeDifferentSetIsMatchedByIdentity) {
+  B4Stream s(14);
+  std::vector<Demand> set;
+  for (int i = 0; i < 12; ++i) set.push_back(s.next());
+  SchedulerConfig cfg;
+  cfg.hard_repair = false;
+  const TrafficScheduler scheduler(s.topo(), s.catalog(), cfg);
+  ScheduleBasisCache cache;
+  const ScheduleResult before = scheduler.schedule(set, {}, &cache);
+  ASSERT_TRUE(before.feasible);
+  // Same size and the same LP shape, every demand at a new position: a
+  // basis reused by shape would hand each demand another demand's
+  // statuses. Carried by identity, the optimal basis is restarted as is.
+  std::rotate(set.begin(), set.begin() + 5, set.end());
+  const ScheduleResult rotated = scheduler.schedule(set, {}, &cache);
+  EXPECT_TRUE(cache.lp.used);
+  EXPECT_EQ(rotated.lp_pivots, 0);
+  expect_same_lp_objective(rotated, cold_lp(s, set), "rotated set");
+  // Swap one demand for a newcomer on the same pair, at the other end.
+  Demand swapped = set.front();
+  set.erase(set.begin());
+  swapped.id = 1000;
+  set.push_back(swapped);
+  const ScheduleResult r = scheduler.schedule(set, {}, &cache);
+  EXPECT_TRUE(cache.lp.used);
+  expect_same_lp_objective(r, cold_lp(s, set), "swapped demand");
+  EXPECT_LT(r.lp_pivots, cold_lp(s, set).lp_pivots);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the LP/MILP solver substrate: hand-checked LPs, bound handling,
 // infeasibility/unboundedness detection, randomized cross-checks against
-// brute-force vertex enumeration, branch & bound vs exhaustive search, and
-// template-plus-bound-edit scenario instances vs from-scratch models.
+// brute-force vertex enumeration, branch & bound vs exhaustive search,
+// template-plus-bound-edit scenario instances vs from-scratch models, and
+// bases carried across rebuilt models by column and row identity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "solver/branch_bound.h"
+#include "solver/carry.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
 
@@ -645,6 +647,117 @@ TEST(InstanceDelta, ApplyDeltaValidatesBounds) {
   EXPECT_EQ(edited.variable(0).upper, 0.5);
   EXPECT_EQ(tmpl.variable(0).lower, 0.0);
   EXPECT_EQ(tmpl.variable(0).upper, 1.0);
+}
+
+// --- carry_basis ---------------------------------------------------------
+
+/// Every row holds a distinct column, and exactly those columns are kBasic.
+void expect_valid_basis(const Basis& b, int n, int m) {
+  ASSERT_EQ(b.structural_count, n);
+  ASSERT_EQ(b.constraint_count, m);
+  ASSERT_EQ(static_cast<int>(b.basic.size()), m);
+  ASSERT_EQ(static_cast<int>(b.status.size()), n + m);
+  std::vector<int> seen(static_cast<std::size_t>(n + m), 0);
+  for (const int col : b.basic) {
+    ASSERT_GE(col, 0);
+    ASSERT_LT(col, n + m);
+    EXPECT_EQ(++seen[static_cast<std::size_t>(col)], 1) << "column " << col;
+    EXPECT_EQ(b.status[static_cast<std::size_t>(col)], VarStatus::kBasic);
+  }
+  EXPECT_EQ(std::count(b.status.begin(), b.status.end(), VarStatus::kBasic),
+            m);
+}
+
+ModelKey key(int id) { return {0, id, 0, 0}; }
+
+TEST(CarryBasis, TakenSlackIsReplacedByAFreeOne) {
+  // Old model: columns x0..x2, rows r0..r2 (slacks are columns 3..5).
+  // Row 0 holds x2, row 1 holds r0's slack, row 2 holds x0; x1 sits at its
+  // upper bound.
+  Basis old;
+  old.structural_count = 3;
+  old.constraint_count = 3;
+  old.basic = {2, 3, 0};
+  old.status = {VarStatus::kBasic, VarStatus::kAtUpper, VarStatus::kBasic,
+                VarStatus::kBasic, VarStatus::kAtLower, VarStatus::kAtLower};
+  const ModelKeys old_keys{{key(0), key(1), key(2)}, {key(0), key(1), key(2)}};
+  // New model: x2 and r2 are gone, x3 and r3 are new, the rest reordered:
+  // columns (x1, x0, x3), rows (r1, r0, r3); slacks are columns 3..5.
+  const ModelKeys new_keys{{key(1), key(0), key(3)}, {key(1), key(0), key(3)}};
+  const Basis b = carry_basis(old, old_keys, new_keys);
+  expect_valid_basis(b, 3, 3);
+  // r1 keeps r0's slack; r0 lost x2, and its own slack is taken, so it
+  // gets the free slack of r1; the new row r3 starts on its own slack.
+  EXPECT_EQ(b.basic, (std::vector<int>{4, 3, 5}));
+  EXPECT_EQ(b.status[0], VarStatus::kAtUpper);  // x1 kept its bound
+  EXPECT_EQ(b.status[1], VarStatus::kAtLower);  // x0's row r2 is gone
+  EXPECT_EQ(b.status[2], VarStatus::kAtLower);  // x3 is new
+}
+
+TEST(CarryBasis, MismatchedOrEmptyBasisCarriesNothing) {
+  const ModelKeys keys{{key(0), key(1)}, {key(0)}};
+  EXPECT_TRUE(carry_basis(Basis{}, keys, keys).empty());
+  Basis wrong;
+  wrong.structural_count = 3;  // keys describe two columns
+  wrong.constraint_count = 1;
+  wrong.basic = {3};
+  wrong.status.assign(4, VarStatus::kAtLower);
+  wrong.status[3] = VarStatus::kBasic;
+  EXPECT_TRUE(carry_basis(wrong, keys, keys).empty());
+}
+
+/// A random covering LP: minimize c'x over rows sum_{j in row} x_j >= r,
+/// x in [0, u]; row i and column j are keyed by their ids.
+Model covering_lp(const std::vector<int>& col_ids,
+                  const std::vector<int>& row_ids, ModelKeys& keys) {
+  Model m;
+  keys = {};
+  for (const int j : col_ids) {
+    m.add_variable(0.0, 2.0 + j % 3, 1.0 + (j * 7 % 5));
+    keys.cols.push_back(key(j));
+  }
+  for (const int i : row_ids) {
+    std::vector<Term> row;
+    for (std::size_t c = 0; c < col_ids.size(); ++c) {
+      if ((col_ids[c] + i) % 3 != 0) row.push_back({static_cast<int>(c), 1.0});
+    }
+    m.add_constraint(std::move(row), Relation::kGreaterEqual, 1.0 + i % 4);
+    keys.rows.push_back(key(i));
+  }
+  return m;
+}
+
+TEST(CarryBasis, CarriedBasisHasMDistinctBasicsAndSolvesWarm) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<int> cols(12);
+    std::vector<int> rows(8);
+    for (int j = 0; j < 12; ++j) cols[static_cast<std::size_t>(j)] = j;
+    for (int i = 0; i < 8; ++i) rows[static_cast<std::size_t>(i)] = i;
+    ModelKeys old_keys;
+    WarmStart warm;
+    const Model before = covering_lp(cols, rows, old_keys);
+    ASSERT_TRUE(solve_lp(before, {}, &warm).optimal());
+    // Drop a few columns and rows, add new ones, shuffle the rest.
+    std::shuffle(cols.begin(), cols.end(), rng);
+    std::shuffle(rows.begin(), rows.end(), rng);
+    cols.resize(9);
+    rows.resize(6);
+    for (int k = 0; k < 3; ++k) cols.push_back(100 + trial + k);
+    for (int k = 0; k < 2; ++k) rows.push_back(200 + trial + k);
+    ModelKeys new_keys;
+    const Model after = covering_lp(cols, rows, new_keys);
+    warm.basis = carry_basis(warm.basis, old_keys, new_keys);
+    expect_valid_basis(warm.basis, after.variable_count(),
+                       after.constraint_count());
+    const Solution carried = solve_lp(after, {}, &warm);
+    EXPECT_TRUE(warm.used) << "trial " << trial;
+    const Solution cold = solve_lp(after);
+    ASSERT_EQ(carried.status, cold.status) << "trial " << trial;
+    EXPECT_NEAR(carried.objective, cold.objective,
+                1e-9 * std::max(1.0, std::abs(cold.objective)))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 #                  validates the emitted BENCH json against the schema
 #                  (tools/bench_report.h), diffs both against the committed
 #                  baselines (timing for the solver bench; node counts and
-#                  warm timing for the MILP bench); bench_system at a
+#                  warm timing for the MILP bench); gates the solver
+#                  bench's carried-basis chain (warm-hit fraction floor
+#                  0.9, carried/cold pivots ceiling 0.35); bench_system at a
 #                  reduced arrival count with an absolute floor on
 #                  admissions/sec, a ceiling on p99 reply latency and a
 #                  floor on the batched-vs-serial speedup, a ceiling of
@@ -107,6 +109,14 @@ for leg in "${legs[@]}"; do
         "build/dev/tools/bench_report" --compare "$ROOT/BENCH_solver.json" \
           "$smoke_json" --max-regress 3.0
       fi
+      # Carried-basis gates: the sched_chain_b4 counts are deterministic.
+      # Rounds after the first must restart from the basis carried across
+      # the admitted-set change, and a carried round must take at most
+      # 0.35x the pivots of a cold solve of the same set.
+      "build/dev/tools/bench_report" --min "$smoke_json" \
+        --metric warm_hit_frac --floor 0.9
+      "build/dev/tools/bench_report" --max "$smoke_json" \
+        --metric carried_over_cold_pivots --ceiling 0.35
       rm -f "$smoke_json"
       smoke_json=$(mktemp /tmp/BENCH_milp_smoke.XXXXXX.json)
       "build/dev/bench/bench_milp" --reps 1 --out "$smoke_json"
